@@ -31,16 +31,6 @@ bool AnnEnabledFromEnv() {
          !(env[0] == '0' && env[1] == '\0');
 }
 
-int AnnNprobeFromEnv() {
-  if (const char* env = std::getenv("UW_ANN_NPROBE")) {
-    const long parsed = std::atol(env);
-    if (parsed > 0) return static_cast<int>(parsed);
-    UW_LOG(Warning) << "UW_ANN_NPROBE=" << env
-                    << " is not positive; using the index default";
-  }
-  return 0;
-}
-
 namespace {
 
 /// Index of the best-scoring centroid for `row`: highest blocked dot,

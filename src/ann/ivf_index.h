@@ -98,10 +98,6 @@ class IvfIndex {
 /// the pipeline then builds the IVF index and attaches it to RetExpan.
 bool AnnEnabledFromEnv();
 
-/// Positive value of `UW_ANN_NPROBE`, or 0 when unset/invalid (callers
-/// fall back to the index's configured default).
-int AnnNprobeFromEnv();
-
 }  // namespace ultrawiki
 
 #endif  // ULTRAWIKI_ANN_IVF_INDEX_H_

@@ -34,6 +34,12 @@ std::optional<int> ParseIntStrict(std::string_view text) {
   return static_cast<int>(value);
 }
 
+std::optional<int> ParsePort(std::string_view text) {
+  const std::optional<int> port = ParseIntStrict(text);
+  if (!port.has_value() || *port < 0 || *port > 65535) return std::nullopt;
+  return port;
+}
+
 int EnvInt(const char* name, int fallback, int min_value) {
   const char* env = std::getenv(name);
   if (env == nullptr) return fallback;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -45,12 +45,8 @@ std::unique_ptr<ThreadPool>& GlobalPoolSlot() {
 }  // namespace
 
 int ThreadPool::DefaultThreadCount() {
-  if (const char* env = std::getenv("UW_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return EnvInt("UW_THREADS", hw > 0 ? static_cast<int>(hw) : 1, 1);
 }
 
 ThreadPool& ThreadPool::Global() {

@@ -1,8 +1,8 @@
 #include "expand/pipeline.h"
 
-#include <cstdlib>
 #include <utility>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "io/artifact_cache.h"
 #include "io/model_io.h"
@@ -469,7 +469,8 @@ std::unique_ptr<RetExpan> Pipeline::MakeRetExpan(RetExpanConfig config) {
   // variants rank with different stores, so they never get this index.
   const bool ann = AnnEnabledFromEnv();
   if (ann && config.ann_nprobe <= 0) {
-    config.ann_nprobe = AnnNprobeFromEnv();
+    // 0 (unset or invalid) keeps the index's configured default.
+    config.ann_nprobe = EnvInt("UW_ANN_NPROBE", 0, 1);
   }
   auto expander = std::make_unique<RetExpan>(
       store_.get(), &dataset_.candidates, config);
@@ -491,26 +492,13 @@ std::unique_ptr<RetExpan> Pipeline::MakeRetExpanRa(RaSource source,
       std::string("RetExpan+RA(") + RaSourceName(source) + ")");
 }
 
-namespace {
-
-int64_t EnvBudget(const char* name) {
-  if (const char* env = std::getenv(name)) {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<int64_t>(parsed);
-    UW_LOG(Warning) << name << "=" << env << " is not positive; ignoring";
-  }
-  return 0;
-}
-
-}  // namespace
-
 std::unique_ptr<GenExpan> Pipeline::MakeGenExpan(GenExpanConfig config) {
   // Standing anytime budgets; explicit config values win over the env.
   if (config.time_budget_ms <= 0) {
-    config.time_budget_ms = EnvBudget("UW_GENEXPAN_TIME_BUDGET_MS");
+    config.time_budget_ms = EnvInt("UW_GENEXPAN_TIME_BUDGET_MS", 0, 1);
   }
   if (config.max_expansions <= 0) {
-    config.max_expansions = EnvBudget("UW_GENEXPAN_MAX_EXPANSIONS");
+    config.max_expansions = EnvInt("UW_GENEXPAN_MAX_EXPANSIONS", 0, 1);
   }
   std::string name = "GenExpan";
   if (config.cot != CotMode::kNone) {

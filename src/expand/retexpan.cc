@@ -10,6 +10,57 @@
 
 namespace ultrawiki {
 
+std::vector<ScoredIndex> StridedRecall(const EntityStore& store,
+                                       const std::vector<EntityId>& candidates,
+                                       const Query& query, size_t first,
+                                       size_t stride, size_t size) {
+  // Batched recall: one centroid fold plus one blocked dot per candidate
+  // instead of |seeds| per-pair cosines with recomputed norms, streamed
+  // into a bounded top-k heap instead of materialize-then-partial-sort.
+  const std::vector<EntityId> seeds = SortedSeedsOf(query);
+  std::vector<size_t> positions;
+  std::vector<EntityId> non_seed;
+  positions.reserve(candidates.size() / stride + 1);
+  non_seed.reserve(positions.capacity());
+  for (size_t p = first; p < candidates.size(); p += stride) {
+    const EntityId id = candidates[p];
+    if (std::binary_search(seeds.begin(), seeds.end(), id)) continue;
+    positions.push_back(p);
+    non_seed.push_back(id);
+  }
+  const std::vector<float> scores =
+      store.SeedCentroidScores(query.pos_seeds, non_seed);
+  obs::GetCounter("retexpan.candidates_scored")
+      .Increment(static_cast<int64_t>(non_seed.size()));
+  TopKStream stream(size);
+  for (size_t i = 0; i < positions.size(); ++i) {
+    stream.Push(scores[i], positions[i]);
+  }
+  return stream.TakeSortedDescending();
+}
+
+std::vector<EntityId> MarginRerank(const std::vector<EntityId>& list,
+                                   const std::vector<float>& pos,
+                                   const std::vector<float>& neg,
+                                   int segment_length) {
+  UW_CHECK_EQ(pos.size(), list.size());
+  UW_CHECK_EQ(neg.size(), list.size());
+  std::vector<double> margins(list.size(), 0.0);
+  for (size_t i = 0; i < list.size(); ++i) {
+    margins[i] = std::max(
+        0.0, static_cast<double>(neg[i]) - static_cast<double>(pos[i]));
+  }
+  return SegmentedRerankByPosition(list, margins, segment_length);
+}
+
+size_t InitialListSize(const RetExpanConfig& config, size_t k) {
+  return std::max<size_t>(k, static_cast<size_t>(config.initial_list_size));
+}
+
+bool NeedsNegativeRerank(const RetExpanConfig& config, const Query& query) {
+  return config.use_negative_rerank && !query.neg_seeds.empty();
+}
+
 RetExpan::RetExpan(const EntityStore* store,
                    const std::vector<EntityId>* candidates,
                    RetExpanConfig config, std::string name)
@@ -19,16 +70,6 @@ RetExpan::RetExpan(const EntityStore* store,
       name_(std::move(name)) {
   UW_CHECK_NE(store, nullptr);
   UW_CHECK_NE(candidates, nullptr);
-}
-
-double RetExpan::SeedSimilarity(const std::vector<EntityId>& seeds,
-                                EntityId candidate) const {
-  if (seeds.empty()) return 0.0;
-  double sum = 0.0;
-  for (EntityId seed : seeds) {
-    sum += static_cast<double>(store_->Similarity(candidate, seed));
-  }
-  return sum / static_cast<double>(seeds.size());
 }
 
 void RetExpan::SetAnnIndex(const IvfIndex* ann) {
@@ -52,13 +93,12 @@ void RetExpan::SetAnnIndex(const IvfIndex* ann) {
 
 std::vector<EntityId> RetExpan::InitialExpansion(const Query& query,
                                                  size_t size) const {
-  const std::vector<EntityId> seeds = SortedSeedsOf(query);
   const bool use_ann =
       ann_ != nullptr && candidates_->size() >= config_.ann_min_candidates;
   if (ann_ != nullptr && !use_ann) {
     obs::GetCounter("ann.fallback_exact").Increment();
   }
-  TopKStream stream(size);
+  std::vector<ScoredIndex> scored;
   if (use_ann) {
     // ANN recall: probe the IVF lists nearest the seed centroid, then
     // rerank the retrieved superset with the *exact* centroid kernel —
@@ -66,6 +106,7 @@ std::vector<EntityId> RetExpan::InitialExpansion(const Query& query,
     // surviving candidate carries its full-scan score, and the only
     // approximation is which candidates were retrieved at all.
     UW_SPAN("retexpan.initial_expansion_ann");
+    const std::vector<EntityId> seeds = SortedSeedsOf(query);
     const Vec centroid = store_->SeedCentroidOf(query.pos_seeds);
     const int nprobe =
         config_.ann_nprobe > 0 ? config_.ann_nprobe : ann_->config().nprobe;
@@ -88,6 +129,7 @@ std::vector<EntityId> RetExpan::InitialExpansion(const Query& query,
     const std::vector<float> scores = store_->CentroidScores(centroid, kept);
     obs::GetCounter("retexpan.candidates_scored")
         .Increment(static_cast<int64_t>(kept.size()));
+    TopKStream stream(size);
     for (size_t i = 0; i < positions.size(); ++i) {
       stream.Push(scores[i], positions[i]);
     }
@@ -99,32 +141,11 @@ std::vector<EntityId> RetExpan::InitialExpansion(const Query& query,
       if (std::binary_search(seeds.begin(), seeds.end(), id)) continue;
       stream.Push(0.0f, pos);
     }
+    scored = stream.TakeSortedDescending();
   } else {
-    // Batched recall: one centroid fold plus one blocked dot per candidate
-    // (EntityStore::SeedCentroidScores) instead of |seeds| per-pair cosines
-    // with recomputed norms, streamed into a bounded top-k heap instead of
-    // materialize-then-partial-sort. Candidate positions keep the original
-    // index tie-break.
     UW_SPAN("retexpan.initial_expansion");
-    std::vector<size_t> positions;
-    std::vector<EntityId> non_seed;
-    positions.reserve(candidates_->size());
-    non_seed.reserve(candidates_->size());
-    for (size_t i = 0; i < candidates_->size(); ++i) {
-      const EntityId id = (*candidates_)[i];
-      if (std::binary_search(seeds.begin(), seeds.end(), id)) continue;
-      positions.push_back(i);
-      non_seed.push_back(id);
-    }
-    const std::vector<float> scores =
-        store_->SeedCentroidScores(query.pos_seeds, non_seed);
-    obs::GetCounter("retexpan.candidates_scored")
-        .Increment(static_cast<int64_t>(non_seed.size()));
-    for (size_t i = 0; i < positions.size(); ++i) {
-      stream.Push(scores[i], positions[i]);
-    }
+    scored = StridedRecall(*store_, *candidates_, query, 0, 1, size);
   }
-  const std::vector<ScoredIndex> scored = stream.TakeSortedDescending();
   std::vector<EntityId> initial;
   initial.reserve(scored.size());
   for (const ScoredIndex& s : scored) {
@@ -136,34 +157,17 @@ std::vector<EntityId> RetExpan::InitialExpansion(const Query& query,
 std::vector<EntityId> RetExpan::Expand(const Query& query, size_t k) {
   UW_SPAN("retexpan.expand");
   obs::GetCounter("retexpan.queries").Increment();
-  const size_t initial_size = std::max<size_t>(
-      k, static_cast<size_t>(config_.initial_list_size));
-  std::vector<EntityId> list = InitialExpansion(query, initial_size);
-  if (config_.use_negative_rerank && !query.neg_seeds.empty()) {
+  std::vector<EntityId> list =
+      InitialExpansion(query, InitialListSize(config_, k));
+  if (NeedsNegativeRerank(config_, query)) {
     UW_SPAN("retexpan.rerank");
     obs::GetCounter("retexpan.reranked_lists").Increment();
-    // Contrastive re-ranking key: how much more the candidate resembles
-    // the negative seeds than the positive seeds. The raw sco^neg is
-    // dominated by the shared fine-grained class (every in-class entity
-    // scores high), so the margin is what actually isolates entities
-    // aligned with the negative attributes.
-    // The key is clamped at zero: entities whose negative evidence does
-    // not exceed their positive evidence keep their original order (the
-    // segment sort is stable), so re-ranking is a pure demotion of
-    // negative-aligned entities, never a reshuffle of the positives.
     // Both sides' seed similarities come from one batched centroid pass
     // over the list instead of per-entity per-seed cosines.
-    const std::vector<float> neg =
-        store_->SeedCentroidScores(query.neg_seeds, list);
-    const std::vector<float> pos =
-        store_->SeedCentroidScores(query.pos_seeds, list);
-    std::vector<double> margins(list.size(), 0.0);
-    for (size_t i = 0; i < list.size(); ++i) {
-      margins[i] = std::max(
-          0.0, static_cast<double>(neg[i]) - static_cast<double>(pos[i]));
-    }
-    list = SegmentedRerankByPosition(list, margins,
-                                     config_.rerank_segment_length);
+    list = MarginRerank(list,
+                        store_->SeedCentroidScores(query.pos_seeds, list),
+                        store_->SeedCentroidScores(query.neg_seeds, list),
+                        config_.rerank_segment_length);
   }
   if (list.size() > k) list.resize(k);
   return list;

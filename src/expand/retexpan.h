@@ -7,6 +7,7 @@
 #include "ann/ivf_index.h"
 #include "embedding/entity_store.h"
 #include "expand/expander.h"
+#include "math/topk.h"
 
 namespace ultrawiki {
 
@@ -32,6 +33,40 @@ struct RetExpanConfig {
   size_t ann_min_candidates = 4096;
 };
 
+/// RetExpan's two plan steps, shared by the in-process expander and the
+/// sharded serving path (ExpansionService::ScatterRetrieve on each shard,
+/// ClusterRouter::ScatterExpand on the router), so every executor ranks
+/// with the same arithmetic.
+
+/// Exact recall over the candidate positions `first, first + stride, ...`
+/// of `candidates`: skips the query's seeds, scores the rest by
+/// positive-seed centroid similarity (EntityStore::SeedCentroidScores,
+/// paper Eq. 4), and keeps the best `size` by RanksBefore. Indices are
+/// *global* positions in `candidates`, so the per-shard tops of a
+/// (shard, shard_count) partition merge into exactly the (0, 1) result.
+std::vector<ScoredIndex> StridedRecall(const EntityStore& store,
+                                       const std::vector<EntityId>& candidates,
+                                       const Query& query, size_t first,
+                                       size_t stride, size_t size);
+
+/// Negative-seed segmented rerank of `list` (paper §5.1.1). The key is
+/// the clamped margin max(0, neg[i] - pos[i]) of the entity's negative-
+/// over positive-seed centroid similarity: the raw sco^neg is dominated
+/// by the shared fine-grained class, so the margin is what isolates
+/// negative-aligned entities, and the clamp keeps entities without
+/// negative evidence in their original order (the segment sort is
+/// stable) — a pure demotion, never a reshuffle of the positives.
+std::vector<EntityId> MarginRerank(const std::vector<EntityId>& list,
+                                   const std::vector<float>& pos,
+                                   const std::vector<float>& neg,
+                                   int segment_length);
+
+/// |L0| for a top-`k` request: max(k, config.initial_list_size).
+size_t InitialListSize(const RetExpanConfig& config, size_t k);
+
+/// Whether `query` takes the negative-seed rerank under `config`.
+bool NeedsNegativeRerank(const RetExpanConfig& config, const Query& query);
+
 /// The retrieval-based framework (paper §5.1): entity representation →
 /// entity expansion by mean cosine similarity to the positive seeds
 /// (Eq. 4) → segmented re-ranking by negative-seed similarity. The entity
@@ -48,12 +83,6 @@ class RetExpan : public Expander {
 
   std::vector<EntityId> Expand(const Query& query, size_t k) override;
   std::string name() const override { return name_; }
-
-  /// Mean cosine similarity of `candidate` to `seeds` (paper Eq. 4).
-  /// Per-pair scalar path, kept as the reference the batched
-  /// EntityStore::SeedCentroidScores ranking is validated against.
-  double SeedSimilarity(const std::vector<EntityId>& seeds,
-                        EntityId candidate) const;
 
   /// The recall stage only: top-`size` candidates by positive-seed
   /// similarity, seeds excluded (exposed for the contrastive-data miner

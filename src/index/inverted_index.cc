@@ -89,23 +89,6 @@ void InvertedIndex::Freeze() {
       .Increment(static_cast<int64_t>(raw_posting_bytes()));
 }
 
-InvertedIndex InvertedIndex::Restore(
-    std::vector<int32_t> doc_lengths,
-    std::unordered_map<TokenId, std::vector<Posting>> postings) {
-  InvertedIndex index;
-  index.postings_ = std::move(postings);
-  index.doc_lengths_ = std::move(doc_lengths);
-  index.total_length_ = 0;
-  for (const int32_t length : index.doc_lengths_) {
-    index.total_length_ += static_cast<int64_t>(length);
-  }
-  index.total_postings_ = 0;
-  for (const auto& [term, list] : index.postings_) {
-    index.total_postings_ += static_cast<int64_t>(list.size());
-  }
-  return index;
-}
-
 bool InvertedIndex::RestoreCompressed(std::vector<int32_t> doc_lengths,
                                       std::vector<CompressedTermList> terms,
                                       std::vector<PostingBlockMeta> blocks,

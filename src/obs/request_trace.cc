@@ -1,22 +1,15 @@
 #include "obs/request_trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
+
+#include "common/env.h"
 
 namespace ultrawiki {
 namespace obs {
 namespace {
 
 thread_local RequestTrace* tls_active_request_trace = nullptr;
-
-size_t SlowLogCapacityFromEnv() {
-  if (const char* env = std::getenv("UW_SLOW_QUERY_LOG")) {
-    const long parsed = std::atol(env);
-    if (parsed >= 1) return static_cast<size_t>(parsed);
-  }
-  return 16;
-}
 
 }  // namespace
 
@@ -104,7 +97,8 @@ RequestTrace* ActiveRequestTrace() { return tls_active_request_trace; }
 SlowQueryLog& SlowQueryLog::Global() {
   // Leaky singleton, same discipline as the metrics registry: entries
   // must outlive any thread that might record during shutdown.
-  static SlowQueryLog* log = new SlowQueryLog(SlowLogCapacityFromEnv());
+  static SlowQueryLog* log = new SlowQueryLog(
+      static_cast<size_t>(EnvInt("UW_SLOW_QUERY_LOG", 16, 1)));
   return *log;
 }
 

@@ -51,7 +51,6 @@ StatusOr<ServeClient> ServeClient::Connect(const std::string& host,
 ServeClient::ServeClient(ServeClient&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       next_request_id_(other.next_request_id_),
-      wire_version_(other.wire_version_),
       force_trace_(other.force_trace_),
       last_trace_id_(other.last_trace_id_) {}
 
@@ -60,7 +59,6 @@ ServeClient& ServeClient::operator=(ServeClient&& other) noexcept {
     Close();
     fd_ = std::exchange(other.fd_, -1);
     next_request_id_ = other.next_request_id_;
-    wire_version_ = other.wire_version_;
     force_trace_ = other.force_trace_;
     last_trace_id_ = other.last_trace_id_;
   }
@@ -77,24 +75,18 @@ void ServeClient::Close() {
 }
 
 FrameOptions ServeClient::MakeFrameOptions(uint64_t request_id) {
+  // The request id doubles as the trace id: unique per connection and
+  // easy to correlate with client-side logs.
   FrameOptions options;
-  options.version = wire_version_;
-  if (wire_version_ >= 2) {
-    // The request id doubles as the trace id: unique per connection and
-    // easy to correlate with client-side logs. The server falls back to
-    // its own sequence when a v1 frame arrives with no id.
-    options.trace_id = request_id;
-    if (force_trace_) options.flags |= kFrameFlagSample;
-    last_trace_id_ = options.trace_id;
-  }
+  options.trace_id = request_id;
+  if (force_trace_) options.flags |= kFrameFlagSample;
+  last_trace_id_ = options.trace_id;
   return options;
 }
 
 Status ServeClient::Ping() {
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
-  FrameOptions options;
-  options.version = wire_version_;
-  const std::string ping = EncodeControlFrame(FrameKind::kPing, options);
+  const std::string ping = EncodeControlFrame(FrameKind::kPing);
   Status status = WriteAll(fd_, ping.data(), ping.size());
   if (!status.ok()) return status;
   StatusOr<Frame> frame = ReadFrame(fd_);

@@ -62,12 +62,6 @@ class ServeClient {
   /// Closes the connection early (destructor does this too).
   void Close();
 
-  /// Wire version for outgoing frames. Defaults to the current version;
-  /// pin kFrameVersionV1 to talk to a server predating the trace-context
-  /// extension (trace requests are silently meaningless in v1 framing).
-  void set_wire_version(uint32_t version) { wire_version_ = version; }
-  uint32_t wire_version() const { return wire_version_; }
-
   /// When set, every subsequent request carries the sample flag in its
   /// frame header, asking the server to trace it end to end regardless of
   /// the server's sampling rate (slow-query log + admin /slow).
@@ -88,7 +82,6 @@ class ServeClient {
 
   int fd_ = -1;
   uint64_t next_request_id_ = 1;
-  uint32_t wire_version_ = kFrameVersion;
   bool force_trace_ = false;
   uint64_t last_trace_id_ = 0;
 };

@@ -39,20 +39,17 @@ uint64_t ParseU64(const char* bytes) {
   return value;
 }
 
-/// Frames `payload`: header (v1 prefix, plus the trace-context extension
-/// when emitting v2), payload bytes, CRC32 over both.
+/// Frames `payload`: header, payload bytes, CRC32 over both.
 std::string FramePayload(FrameKind kind, std::string_view payload,
                          const FrameOptions& options) {
   std::string out;
-  out.reserve(kFrameHeaderBytesV2 + payload.size() + 4);
+  out.reserve(kFrameHeaderBytes + payload.size() + 4);
   AppendU32(kFrameMagic, out);
-  AppendU32(options.version, out);
+  AppendU32(kFrameVersion, out);
   AppendU32(static_cast<uint32_t>(kind), out);
   AppendU64(payload.size(), out);
-  if (options.version >= 2) {
-    AppendU64(options.trace_id, out);
-    AppendU32(options.flags, out);
-  }
+  AppendU64(options.trace_id, out);
+  AppendU32(options.flags, out);
   out.append(payload);
   AppendU32(Crc32(out), out);
   return out;
@@ -99,18 +96,17 @@ std::string EncodeRequestFrame(const WireRequest& request,
   return FramePayload(FrameKind::kExpandRequest, writer.payload(), options);
 }
 
-std::string EncodeResponseFrame(const WireResponse& response,
-                                const FrameOptions& options) {
+std::string EncodeResponseFrame(const WireResponse& response) {
   SnapshotWriter writer;
   writer.PutU64(response.request_id);
   writer.PutU32(response.code);
   writer.PutString(response.message);
   writer.PutI32Vec(response.ranking);
-  return FramePayload(FrameKind::kExpandResponse, writer.payload(), options);
+  return FramePayload(FrameKind::kExpandResponse, writer.payload(), {});
 }
 
-std::string EncodeControlFrame(FrameKind kind, const FrameOptions& options) {
-  return FramePayload(kind, {}, options);
+std::string EncodeControlFrame(FrameKind kind) {
+  return FramePayload(kind, {}, {});
 }
 
 std::string EncodeShardRetrieveRequestFrame(
@@ -124,7 +120,7 @@ std::string EncodeShardRetrieveRequestFrame(
 }
 
 std::string EncodeShardRetrieveResponseFrame(
-    const WireShardRetrieveResponse& response, const FrameOptions& options) {
+    const WireShardRetrieveResponse& response) {
   SnapshotWriter writer;
   writer.PutU64(response.request_id);
   writer.PutU32(response.code);
@@ -135,8 +131,7 @@ std::string EncodeShardRetrieveResponseFrame(
     writer.PutU64(entity.position);
     writer.PutI32(entity.id);
   }
-  return FramePayload(FrameKind::kShardRetrieveResponse, writer.payload(),
-                      options);
+  return FramePayload(FrameKind::kShardRetrieveResponse, writer.payload(), {});
 }
 
 std::string EncodeShardScoreRequestFrame(const WireShardScoreRequest& request,
@@ -150,15 +145,14 @@ std::string EncodeShardScoreRequestFrame(const WireShardScoreRequest& request,
 }
 
 std::string EncodeShardScoreResponseFrame(
-    const WireShardScoreResponse& response, const FrameOptions& options) {
+    const WireShardScoreResponse& response) {
   SnapshotWriter writer;
   writer.PutU64(response.request_id);
   writer.PutU32(response.code);
   writer.PutString(response.message);
   writer.PutFloatVec(response.scores.pos);
   writer.PutFloatVec(response.scores.neg);
-  return FramePayload(FrameKind::kShardScoreResponse, writer.payload(),
-                      options);
+  return FramePayload(FrameKind::kShardScoreResponse, writer.payload(), {});
 }
 
 std::string EncodeQueryLookupRequestFrame(
@@ -171,14 +165,13 @@ std::string EncodeQueryLookupRequestFrame(
 }
 
 std::string EncodeQueryLookupResponseFrame(
-    const WireQueryLookupResponse& response, const FrameOptions& options) {
+    const WireQueryLookupResponse& response) {
   SnapshotWriter writer;
   writer.PutU64(response.request_id);
   writer.PutU32(response.code);
   writer.PutString(response.message);
   PutQuery(writer, response.query);
-  return FramePayload(FrameKind::kQueryLookupResponse, writer.payload(),
-                      options);
+  return FramePayload(FrameKind::kQueryLookupResponse, writer.payload(), {});
 }
 
 Status DecodeRequestPayload(std::string_view payload, WireRequest* request) {
@@ -331,16 +324,16 @@ Status WriteAll(int fd, const void* buffer, size_t bytes) {
 }
 
 StatusOr<Frame> ReadFrame(int fd) {
-  // Read the version-independent 20-byte prefix first; only then do we
-  // know whether a trace-context extension follows.
-  char header[kFrameHeaderBytesV2];
-  Status status = ReadExact(fd, header, kFrameHeaderBytes);
+  // Read and check the 20-byte prefix first, so a peer speaking another
+  // version (whose header may be shorter) is rejected instead of awaited.
+  char header[kFrameHeaderBytes];
+  Status status = ReadExact(fd, header, kFramePrefixBytes);
   if (!status.ok()) return status;
   if (ParseU32(header) != kFrameMagic) {
     return Status::Internal("bad frame magic");
   }
   const uint32_t version = ParseU32(header + 4);
-  if (version != kFrameVersionV1 && version != kFrameVersion) {
+  if (version != kFrameVersion) {
     return Status::Internal("unsupported frame version " +
                             std::to_string(version));
   }
@@ -353,23 +346,18 @@ StatusOr<Frame> ReadFrame(int fd) {
     return Status::Internal("frame payload too large (" +
                             std::to_string(payload_len) + " bytes)");
   }
-  size_t header_bytes = kFrameHeaderBytes;
+  status = ReadExact(fd, header + kFramePrefixBytes,
+                     kFrameHeaderBytes - kFramePrefixBytes);
+  if (!status.ok()) {
+    if (status.code() == StatusCode::kUnavailable) {
+      return Status::Internal("connection closed mid-frame");
+    }
+    return status;
+  }
   Frame frame;
   frame.kind = static_cast<FrameKind>(kind);
-  frame.version = version;
-  if (version >= 2) {
-    status = ReadExact(fd, header + kFrameHeaderBytes,
-                       kFrameHeaderBytesV2 - kFrameHeaderBytes);
-    if (!status.ok()) {
-      if (status.code() == StatusCode::kUnavailable) {
-        return Status::Internal("connection closed mid-frame");
-      }
-      return status;
-    }
-    header_bytes = kFrameHeaderBytesV2;
-    frame.trace_id = ParseU64(header + 20);
-    frame.flags = ParseU32(header + 28);
-  }
+  frame.trace_id = ParseU64(header + 20);
+  frame.flags = ParseU32(header + 28);
   frame.payload.resize(static_cast<size_t>(payload_len));
   if (payload_len > 0) {
     status = ReadExact(fd, frame.payload.data(), frame.payload.size());
@@ -388,7 +376,7 @@ StatusOr<Frame> ReadFrame(int fd) {
     }
     return status;
   }
-  uint32_t crc = Crc32(std::string_view(header, header_bytes));
+  uint32_t crc = Crc32(std::string_view(header, kFrameHeaderBytes));
   crc = Crc32(frame.payload, crc);
   if (crc != ParseU32(footer)) {
     return Status::Internal("frame checksum mismatch");

@@ -20,22 +20,17 @@ namespace serve {
 ///
 ///   offset  size  field
 ///        0     4  magic "UWF1" (0x55574631, little-endian u32)
-///        4     4  protocol version (1 or 2, u32)
+///        4     4  protocol version (2, u32)
 ///        8     4  frame kind tag (FrameKind, u32)
 ///       12     8  payload byte length (u64)
-///   --- version 2 header extension (trace context) ---
 ///       20     8  trace id (u64; 0 = none)
 ///       28     4  trace flags (u32; bit 0 = sample this request)
-///   --- end of extension ---
-///        H     N  payload                     (H = 20 for v1, 32 for v2)
-///      H+N     4  CRC32 (IEEE) over bytes [0, H+N)
+///       32     N  payload
+///     32+N     4  CRC32 (IEEE) over bytes [0, 32+N)
 ///
-/// Version compatibility: decoders accept both versions — a v1 frame
-/// reads exactly as before (trace id 0, no flags), so an old client
-/// interoperates with a new server unchanged; servers answer with the
-/// version the request arrived in, so an old client never sees a v2
-/// response. New clients talking to an old server pin
-/// `FrameOptions::version = 1` (ServeClient::set_wire_version).
+/// Only version 2 is spoken. Every client lives in this repository, so
+/// the trace-context-free v1 header is not accepted: a v1 frame fails
+/// closed like any other unsupported version.
 ///
 /// Decoding fails closed into `Status`: bad magic, version skew, unknown
 /// kind, an implausible length (> kMaxFramePayload), checksum mismatch,
@@ -44,14 +39,12 @@ namespace serve {
 /// is caught like any payload flip.
 
 inline constexpr uint32_t kFrameMagic = 0x55574631;  // "1FWU" on disk
-/// Original header without trace context.
-inline constexpr uint32_t kFrameVersionV1 = 1;
-/// Current version: v1 plus the 12-byte trace-context extension.
 inline constexpr uint32_t kFrameVersion = 2;
-/// Common header prefix shared by every version.
-inline constexpr size_t kFrameHeaderBytes = 20;
-/// Full v2 header (prefix + trace-context extension).
-inline constexpr size_t kFrameHeaderBytesV2 = 32;
+/// Header prefix read first: magic, version, kind and payload length are
+/// checked before any more bytes are awaited.
+inline constexpr size_t kFramePrefixBytes = 20;
+/// Full header (prefix + trace context).
+inline constexpr size_t kFrameHeaderBytes = 32;
 /// FrameOptions::flags bit: the sender asks for this request to be
 /// traced end to end regardless of the server's sampling rate.
 inline constexpr uint32_t kFrameFlagSample = 1u << 0;
@@ -176,11 +169,10 @@ struct WireQueryLookupResponse {
   }
 };
 
-/// Header-level framing knobs: the wire version to emit and, for v2, the
-/// trace context carried in the header extension. The defaults frame a
-/// current-version request with no trace context.
+/// Header-level framing knobs for requests: the trace context carried in
+/// the header. The defaults frame a request with no trace context.
+/// Responses and control frames always carry none.
 struct FrameOptions {
-  uint32_t version = kFrameVersion;
   uint64_t trace_id = 0;
   uint32_t flags = 0;
 };
@@ -188,25 +180,22 @@ struct FrameOptions {
 /// Serializes a request/response payload and frames it (header + CRC32).
 std::string EncodeRequestFrame(const WireRequest& request,
                                const FrameOptions& options = {});
-std::string EncodeResponseFrame(const WireResponse& response,
-                                const FrameOptions& options = {});
+std::string EncodeResponseFrame(const WireResponse& response);
 /// Payload-free control frames (ping/pong).
-std::string EncodeControlFrame(FrameKind kind,
-                               const FrameOptions& options = {});
+std::string EncodeControlFrame(FrameKind kind);
 /// Scatter-plane frames (same framing discipline, distinct kinds).
 std::string EncodeShardRetrieveRequestFrame(
     const WireShardRetrieveRequest& request, const FrameOptions& options = {});
 std::string EncodeShardRetrieveResponseFrame(
-    const WireShardRetrieveResponse& response,
-    const FrameOptions& options = {});
+    const WireShardRetrieveResponse& response);
 std::string EncodeShardScoreRequestFrame(const WireShardScoreRequest& request,
                                          const FrameOptions& options = {});
 std::string EncodeShardScoreResponseFrame(
-    const WireShardScoreResponse& response, const FrameOptions& options = {});
+    const WireShardScoreResponse& response);
 std::string EncodeQueryLookupRequestFrame(
     const WireQueryLookupRequest& request, const FrameOptions& options = {});
 std::string EncodeQueryLookupResponseFrame(
-    const WireQueryLookupResponse& response, const FrameOptions& options = {});
+    const WireQueryLookupResponse& response);
 
 /// Decodes a payload previously carried by a verified frame.
 Status DecodeRequestPayload(std::string_view payload, WireRequest* request);
@@ -226,12 +215,10 @@ Status DecodeQueryLookupResponsePayload(std::string_view payload,
                                         WireQueryLookupResponse* response);
 
 /// A verified frame read off a socket: kind + raw payload bytes, plus the
-/// header version it arrived in and (for v2) its trace context. A v1
-/// frame decodes with trace_id 0 and no flags.
+/// trace context from its header.
 struct Frame {
   FrameKind kind = FrameKind::kPing;
   std::string payload;
-  uint32_t version = kFrameVersionV1;
   uint64_t trace_id = 0;
   uint32_t flags = 0;
 };

@@ -12,13 +12,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "common/env.h"
 #include "common/logging.h"
-#include "expand/rerank.h"
 #include "math/topk.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -45,6 +45,26 @@ struct RouterMetrics {
 RouterMetrics& Metrics() {
   static RouterMetrics* metrics = new RouterMetrics();
   return *metrics;
+}
+
+/// Runs `call(shard)` for every shard in `shards`, one thread each, and
+/// returns the first failure in `shards` order. Each call carries its
+/// own failover chain over that shard's replicas. Losing any shard loses
+/// part of the candidate space — a partial merge would silently return a
+/// different (wrong) ranking — so callers fail the request instead.
+Status FanOut(const std::vector<int>& shards,
+              const std::function<Status(int)>& call) {
+  std::vector<Status> statuses(shards.size(), Status::Ok());
+  std::vector<std::thread> workers;
+  workers.reserve(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    workers.emplace_back([&, i] { statuses[i] = call(shards[i]); });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (const Status& status : statuses) {
+    if (!status.ok()) return status;
+  }
+  return Status::Ok();
 }
 
 /// Minimal HTTP/1.0 GET for the admin plane: numeric-host connect with
@@ -447,40 +467,22 @@ ExpandResult ClusterRouter::ScatterExpand(const ExpandRequest& request) {
   Metrics().scatter_expands.Increment();
   UW_SPAN("router.scatter_expand");
   const size_t k = static_cast<size_t>(request.k);
-  const size_t initial_size = std::max<size_t>(
-      k, static_cast<size_t>(config_.retexpan.initial_list_size));
-  const int shards = config_.shard_count;
+  const size_t initial_size = InitialListSize(config_.retexpan, k);
+  const size_t shards = static_cast<size_t>(config_.shard_count);
 
   // Phase 1 — scatter recall: every shard returns its slice's top
-  // `initial_size` by positive-seed centroid score with global candidate
-  // positions. One thread per shard; each worker has its own failover
-  // chain over that shard's replicas.
-  std::vector<std::vector<ShardScoredEntity>> per_shard(
-      static_cast<size_t>(shards));
-  std::vector<Status> statuses(static_cast<size_t>(shards), Status::Ok());
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(shards));
-    for (int shard = 0; shard < shards; ++shard) {
-      workers.emplace_back([this, shard, &request, initial_size, &per_shard,
-                            &statuses] {
-        StatusOr<std::vector<ShardScoredEntity>> result =
-            RetrieveFromShard(shard, request.query, initial_size);
-        if (result.ok()) {
-          per_shard[static_cast<size_t>(shard)] = std::move(*result);
-        } else {
-          statuses[static_cast<size_t>(shard)] = result.status();
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
-  for (const Status& status : statuses) {
-    // Losing any shard loses part of the candidate space — a partial
-    // merge would silently return a different (wrong) ranking, so the
-    // request fails instead.
-    if (!status.ok()) return ExpandResult{status, {}};
-  }
+  // `initial_size` (StridedRecall) with global candidate positions.
+  std::vector<std::vector<ShardScoredEntity>> per_shard(shards);
+  std::vector<int> all_shards(shards);
+  std::iota(all_shards.begin(), all_shards.end(), 0);
+  Status status = FanOut(all_shards, [&](int shard) -> Status {
+    StatusOr<std::vector<ShardScoredEntity>> result =
+        RetrieveFromShard(shard, request.query, initial_size);
+    if (!result.ok()) return result.status();
+    per_shard[static_cast<size_t>(shard)] = std::move(*result);
+    return Status::Ok();
+  });
+  if (!status.ok()) return ExpandResult{status, {}};
 
   // Gather — merge the per-shard streams. TopKStream's kept set and
   // order depend only on the pushed (score, position) multiset, and the
@@ -501,56 +503,36 @@ ExpandResult ClusterRouter::ScatterExpand(const ExpandRequest& request) {
     list.push_back(id_at_position[static_cast<uint64_t>(s.index)]);
   }
 
-  // Phase 2 — negative-seed segmented rerank (RetExpan::Expand's exact
-  // arithmetic). Each merged entity is scored by the shard that owns its
-  // global position; per-position stitching restores list order before
-  // the margin computation.
-  if (config_.retexpan.use_negative_rerank && !request.query.neg_seeds.empty() &&
-      !list.empty()) {
-    std::vector<std::vector<EntityId>> shard_ids(
-        static_cast<size_t>(shards));
-    std::vector<std::vector<size_t>> shard_slots(
-        static_cast<size_t>(shards));
+  // Phase 2 — MarginRerank over pos/neg scores from the shard that owns
+  // each merged entity's global position, stitched back into list order.
+  if (NeedsNegativeRerank(config_.retexpan, request.query)) {
+    std::vector<std::vector<EntityId>> shard_ids(shards);
+    std::vector<std::vector<size_t>> shard_slots(shards);
     for (size_t i = 0; i < list.size(); ++i) {
-      const size_t owner = scored[i].index % static_cast<size_t>(shards);
+      const size_t owner = scored[i].index % shards;
       shard_ids[owner].push_back(list[i]);
       shard_slots[owner].push_back(i);
     }
+    std::vector<int> owners;
+    for (size_t s = 0; s < shards; ++s) {
+      if (!shard_ids[s].empty()) owners.push_back(static_cast<int>(s));
+    }
     std::vector<float> pos(list.size(), 0.0f);
     std::vector<float> neg(list.size(), 0.0f);
-    std::vector<Status> score_statuses(static_cast<size_t>(shards),
-                                       Status::Ok());
-    {
-      std::vector<std::thread> workers;
-      for (int shard = 0; shard < shards; ++shard) {
-        const size_t s = static_cast<size_t>(shard);
-        if (shard_ids[s].empty()) continue;
-        workers.emplace_back([this, shard, s, &request, &shard_ids,
-                              &shard_slots, &pos, &neg, &score_statuses] {
-          StatusOr<ShardScores> scores =
-              ScoreOnShard(shard, request.query, shard_ids[s]);
-          if (!scores.ok()) {
-            score_statuses[s] = scores.status();
-            return;
-          }
-          for (size_t j = 0; j < shard_slots[s].size(); ++j) {
-            pos[shard_slots[s][j]] = scores->pos[j];
-            neg[shard_slots[s][j]] = scores->neg[j];
-          }
-        });
+    status = FanOut(owners, [&](int shard) -> Status {
+      const size_t s = static_cast<size_t>(shard);
+      StatusOr<ShardScores> scores =
+          ScoreOnShard(shard, request.query, shard_ids[s]);
+      if (!scores.ok()) return scores.status();
+      for (size_t j = 0; j < shard_slots[s].size(); ++j) {
+        pos[shard_slots[s][j]] = scores->pos[j];
+        neg[shard_slots[s][j]] = scores->neg[j];
       }
-      for (std::thread& worker : workers) worker.join();
-    }
-    for (const Status& status : score_statuses) {
-      if (!status.ok()) return ExpandResult{status, {}};
-    }
-    std::vector<double> margins(list.size(), 0.0);
-    for (size_t i = 0; i < list.size(); ++i) {
-      margins[i] = std::max(
-          0.0, static_cast<double>(neg[i]) - static_cast<double>(pos[i]));
-    }
-    list = SegmentedRerankByPosition(list, margins,
-                                     config_.retexpan.rerank_segment_length);
+      return Status::Ok();
+    });
+    if (!status.ok()) return ExpandResult{status, {}};
+    list =
+        MarginRerank(list, pos, neg, config_.retexpan.rerank_segment_length);
   }
   if (list.size() > k) list.resize(k);
   return ExpandResult{Status::Ok(), std::move(list)};

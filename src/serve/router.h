@@ -58,13 +58,13 @@ struct RouterConfig {
 /// Frontend, so a plain TcpServer exposes it on the wire protocol —
 /// clients cannot tell a router from a single-process server.
 ///
-/// RetExpan requests take the scatter path: fan `ScatterRetrieve` out to
-/// one replica of every shard in parallel, merge the per-shard streaming
-/// top-k (global candidate positions preserve the RanksBefore tie-break,
-/// so the merged L0 is bit-identical to the unsharded recall — the global
-/// top-|L0| is a subset of the union of per-shard top-|L0|s), then run
-/// the negative-seed segmented rerank over per-shard `ScatterScore`
-/// results with the exact same margin arithmetic RetExpan uses. Every
+/// RetExpan requests take the scatter path: fan `ScatterRetrieve` (each
+/// shard's StridedRecall) out to one replica of every shard in parallel,
+/// merge the per-shard streaming top-k (global candidate positions
+/// preserve the RanksBefore tie-break, so the merged L0 is bit-identical
+/// to the unsharded recall — the global top-|L0| is a subset of the union
+/// of per-shard top-|L0|s), then run RetExpan's MarginRerank over
+/// per-shard `ScatterScore` results (expand/retexpan.h). Every
 /// other method is proxied whole to the least-loaded replica (every shard
 /// process holds the full pipeline, so any replica can serve any method).
 ///

@@ -60,14 +60,8 @@ void TcpServer::HandleConnection(int fd) {
       }
       return;
     }
-    // Respond in the version the request arrived in, so a legacy (v1)
-    // client never sees a header extension it cannot parse.
-    FrameOptions reply_options;
-    reply_options.version = frame->version;
-
     if (frame->kind == FrameKind::kPing) {
-      const std::string pong =
-          EncodeControlFrame(FrameKind::kPong, reply_options);
+      const std::string pong = EncodeControlFrame(FrameKind::kPong);
       if (!WriteAll(fd, pong.data(), pong.size()).ok()) return;
       continue;
     }
@@ -91,8 +85,7 @@ void TcpServer::HandleConnection(int fd) {
       expand.k = static_cast<int>(request.k);
       expand.timeout_ms =
           request.timeout_ms > 0 ? static_cast<int>(request.timeout_ms) : -1;
-      // Trace context rides in the frame header, not the payload: a v1
-      // frame leaves both at their "absent" values.
+      // Trace context rides in the frame header, not the payload.
       expand.trace_id = frame->trace_id;
       expand.force_trace = (frame->flags & kFrameFlagSample) != 0;
       bool resolved = true;
@@ -116,8 +109,7 @@ void TcpServer::HandleConnection(int fd) {
         response.message = result.status.message();
         response.ranking = std::move(result.ranking);
       }
-      const std::string encoded =
-          EncodeResponseFrame(response, reply_options);
+      const std::string encoded = EncodeResponseFrame(response);
       if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
       continue;
     }
@@ -145,8 +137,7 @@ void TcpServer::HandleConnection(int fd) {
         response.code = static_cast<uint32_t>(entities.status().code());
         response.message = entities.status().message();
       }
-      const std::string encoded =
-          EncodeShardRetrieveResponseFrame(response, reply_options);
+      const std::string encoded = EncodeShardRetrieveResponseFrame(response);
       if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
       continue;
     }
@@ -173,8 +164,7 @@ void TcpServer::HandleConnection(int fd) {
         response.code = static_cast<uint32_t>(scores.status().code());
         response.message = scores.status().message();
       }
-      const std::string encoded =
-          EncodeShardScoreResponseFrame(response, reply_options);
+      const std::string encoded = EncodeShardScoreResponseFrame(response);
       if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
       continue;
     }
@@ -200,8 +190,7 @@ void TcpServer::HandleConnection(int fd) {
         response.code = static_cast<uint32_t>(query.status().code());
         response.message = query.status().message();
       }
-      const std::string encoded =
-          EncodeQueryLookupResponseFrame(response, reply_options);
+      const std::string encoded = EncodeQueryLookupResponseFrame(response);
       if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
       continue;
     }

@@ -6,7 +6,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "expand/expander.h"
-#include "math/topk.h"
+#include "expand/retexpan.h"
 #include "obs/metrics.h"
 
 namespace ultrawiki {
@@ -256,33 +256,11 @@ StatusOr<std::vector<ShardScoredEntity>> ExpansionService::ScatterRetrieve(
   const EntityStore& store =
       shard_store_ != nullptr ? *shard_store_ : pipeline_.store();
   const std::vector<EntityId>& candidates = pipeline_.candidates();
-  const std::vector<EntityId> seeds = SortedSeedsOf(query);
-  // The shard's slice of the full scan: stride over the global candidate
-  // list (position p belongs to shard p % count), skip seeds, score the
-  // survivors with the exact centroid kernel, and keep the top `size` by
-  // RanksBefore over *global* positions. Same loop body as RetExpan's
-  // non-ANN InitialExpansion, restricted to this shard's positions — so
-  // the union of all shards' results is a superset of the global top
-  // `size`, score- and tie-break-identical.
-  std::vector<size_t> positions;
-  std::vector<EntityId> non_seed;
-  positions.reserve(candidates.size() / static_cast<size_t>(shard_spec_.count) +
-                    1);
-  non_seed.reserve(positions.capacity());
-  for (size_t p = static_cast<size_t>(shard_spec_.index);
-       p < candidates.size(); p += static_cast<size_t>(shard_spec_.count)) {
-    const EntityId id = candidates[p];
-    if (std::binary_search(seeds.begin(), seeds.end(), id)) continue;
-    positions.push_back(p);
-    non_seed.push_back(id);
-  }
-  const std::vector<float> scores =
-      store.SeedCentroidScores(query.pos_seeds, non_seed);
-  TopKStream stream(size);
-  for (size_t i = 0; i < positions.size(); ++i) {
-    stream.Push(scores[i], positions[i]);
-  }
-  const std::vector<ScoredIndex> scored = stream.TakeSortedDescending();
+  // The shard's slice of the full scan (position p belongs to shard
+  // p % count), ranked by the expander's own StridedRecall.
+  const std::vector<ScoredIndex> scored = StridedRecall(
+      store, candidates, query, static_cast<size_t>(shard_spec_.index),
+      static_cast<size_t>(shard_spec_.count), size);
   std::vector<ShardScoredEntity> entities;
   entities.reserve(scored.size());
   for (const ScoredIndex& s : scored) {

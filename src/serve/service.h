@@ -138,10 +138,10 @@ class ExpansionService {
   /// store swap is not synchronized against in-flight scatter calls.
   Status EnableSharding(const ShardSpec& spec);
 
-  /// Scatter recall: the top-`size` candidates of this service's shard
-  /// slice by positive-seed centroid score, seeds excluded, carrying
-  /// *global* candidate positions so the router's TopKStream merge
-  /// reproduces the unsharded RanksBefore order bit for bit.
+  /// Scatter recall: RetExpan's StridedRecall over this service's shard
+  /// slice (top-`size`, seeds excluded), carrying *global* candidate
+  /// positions so the router's TopKStream merge reproduces the unsharded
+  /// RanksBefore order bit for bit.
   StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(
       const Query& query, size_t size) const;
 

@@ -21,12 +21,14 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/env.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "io/shard_manifest.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
@@ -61,13 +63,15 @@ std::vector<EntityId> Reference(const std::string& method,
 }
 
 /// A query guaranteed to exercise the negative-seed rerank phase: the
-/// dataset's first query, with neg seeds borrowed from the second
-/// query's pos seeds if it has none of its own.
-Query QueryWithNegSeeds() {
+/// dataset's query `q`, with neg seeds borrowed from the next query's
+/// pos seeds if it has none of its own.
+Query QueryWithNegSeeds(size_t q) {
   const auto& queries = TestPipeline().dataset().queries;
   UW_CHECK_GE(queries.size(), 2u);
-  Query query = queries[0];
-  if (query.neg_seeds.empty()) query.neg_seeds = queries[1].pos_seeds;
+  Query query = queries[q];
+  if (query.neg_seeds.empty()) {
+    query.neg_seeds = queries[(q + 1) % queries.size()].pos_seeds;
+  }
   return query;
 }
 
@@ -105,6 +109,52 @@ TEST(EnvIntTest, EnvIntFallsBackLoudlyOnBadValues) {
   ::setenv(kKnob, "1", 1);
   EXPECT_EQ(EnvInt(kKnob, 42, 8), 42);
   ::unsetenv(kKnob);
+}
+
+TEST(EnvIntTest, ParsePortAcceptsOnlyTheTcpRange) {
+  EXPECT_EQ(ParsePort("0"), 0);
+  EXPECT_EQ(ParsePort("7979"), 7979);
+  EXPECT_EQ(ParsePort("65535"), 65535);
+  EXPECT_FALSE(ParsePort("65536").has_value());
+  EXPECT_FALSE(ParsePort("-1").has_value());
+  EXPECT_FALSE(ParsePort("79x").has_value());
+  EXPECT_FALSE(ParsePort("").has_value());
+}
+
+TEST(EnvIntTest, ProcessKnobsParseStrictly) {
+  // Create the lazily built global pool (and the shared pipeline) first,
+  // so they get the caller's UW_THREADS (CI oversubscribes this binary
+  // with UW_THREADS=8) and not whatever this test sets below.
+  ThreadPool& pool = ThreadPool::Global();
+  Pipeline& pipeline = TestPipeline();
+  const char* incoming = std::getenv("UW_THREADS");
+  const std::optional<std::string> saved_threads =
+      incoming != nullptr ? std::optional<std::string>(incoming)
+                          : std::nullopt;
+
+  // A suffixed lane count is malformed, not truncated: it falls back to
+  // the hardware default. The second value differs from that default on
+  // any machine, so a truncating parser cannot pass by coincidence.
+  ::unsetenv("UW_THREADS");
+  const int hardware_default = ThreadPool::DefaultThreadCount();
+  for (const std::string& bad :
+       {std::string("8x"), std::to_string(hardware_default + 1) + "x"}) {
+    ::setenv("UW_THREADS", bad.c_str(), 1);
+    EXPECT_EQ(ThreadPool::DefaultThreadCount(), hardware_default) << bad;
+  }
+  if (saved_threads.has_value()) {
+    ::setenv("UW_THREADS", saved_threads->c_str(), 1);
+  } else {
+    ::unsetenv("UW_THREADS");
+  }
+  EXPECT_EQ(pool.thread_count(), ThreadPool::DefaultThreadCount());
+
+  // A GenExpan standing budget with a suffix is ignored, not truncated.
+  ::setenv("UW_GENEXPAN_MAX_EXPANSIONS", "500x", 1);
+  EXPECT_EQ(pipeline.MakeGenExpan()->config().max_expansions, 0);
+  ::setenv("UW_GENEXPAN_MAX_EXPANSIONS", "500", 1);
+  EXPECT_EQ(pipeline.MakeGenExpan()->config().max_expansions, 500);
+  ::unsetenv("UW_GENEXPAN_MAX_EXPANSIONS");
 }
 
 // --------------------------------------------------- Topology parsing.
@@ -413,8 +463,6 @@ RouterConfig TopologyOf(const std::vector<std::unique_ptr<ShardProcess>>&
 
 TEST(ClusterTest, ShardedScatterGatherBitIdenticalToSingleProcess) {
   const auto& queries = TestPipeline().dataset().queries;
-  const Query neg_query = QueryWithNegSeeds();
-  ASSERT_FALSE(neg_query.neg_seeds.empty());
   constexpr int kK = 25;
 
   for (int shard_count : {1, 2, 3}) {
@@ -431,20 +479,21 @@ TEST(ClusterTest, ShardedScatterGatherBitIdenticalToSingleProcess) {
 
     // The scatter-gather path (retexpan) over every dataset query, by
     // index — the client cannot tell the cluster from one process.
-    const size_t check = std::min<size_t>(queries.size(), 4);
-    for (size_t q = 0; q < check; ++q) {
+    for (size_t q = 0; q < queries.size(); ++q) {
       const auto remote =
           client->ExpandByIndex("retexpan", static_cast<uint32_t>(q), kK);
       ASSERT_TRUE(remote.ok()) << remote.status();
       EXPECT_EQ(*remote, Reference("retexpan", queries[q], kK))
           << "shards=" << shard_count << " query=" << q;
+      // Explicit-seed wire shape, with the negative-seed rerank phase
+      // guaranteed live.
+      const Query neg_query = QueryWithNegSeeds(q);
+      ASSERT_FALSE(neg_query.neg_seeds.empty());
+      const auto reranked = client->ExpandQuery("retexpan", neg_query, kK);
+      ASSERT_TRUE(reranked.ok()) << reranked.status();
+      EXPECT_EQ(*reranked, Reference("retexpan", neg_query, kK))
+          << "shards=" << shard_count << " query=" << q;
     }
-    // Explicit-seed wire shape, with the negative-seed rerank phase
-    // guaranteed live.
-    const auto reranked = client->ExpandQuery("retexpan", neg_query, kK);
-    ASSERT_TRUE(reranked.ok()) << reranked.status();
-    EXPECT_EQ(*reranked, Reference("retexpan", neg_query, kK))
-        << "shards=" << shard_count;
     // Non-scatter methods proxy whole to one replica, same answer.
     const auto proxied = client->ExpandByIndex("setexpan", 0, kK);
     ASSERT_TRUE(proxied.ok()) << proxied.status();

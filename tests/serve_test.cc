@@ -95,11 +95,10 @@ TEST(ServeProtocolTest, ResponsePayloadRoundTrips) {
   response.message = "deadline expired before execution";
   response.ranking = {7, -1, 12};
   const std::string frame = EncodeResponseFrame(response);
-  // Slice the payload out of the framed bytes (v2 header is 32 bytes,
-  // CRC 4).
-  ASSERT_GT(frame.size(), kFrameHeaderBytesV2 + 4);
-  const std::string_view payload(frame.data() + kFrameHeaderBytesV2,
-                                 frame.size() - kFrameHeaderBytesV2 - 4);
+  // Slice the payload out of the framed bytes (header 32 bytes, CRC 4).
+  ASSERT_GT(frame.size(), kFrameHeaderBytes + 4);
+  const std::string_view payload(frame.data() + kFrameHeaderBytes,
+                                 frame.size() - kFrameHeaderBytes - 4);
   WireResponse decoded;
   ASSERT_TRUE(DecodeResponsePayload(payload, &decoded).ok());
   EXPECT_EQ(decoded.request_id, 42u);
@@ -176,54 +175,35 @@ TEST(ServeProtocolTest, FrameVersionCompatMatrix) {
   WireRequest request;
   request.method = "retexpan";
 
-  // v2 (the default): the header extension round-trips trace context.
+  // v2: the header round-trips trace context.
   {
     FrameOptions options;
     options.trace_id = 0xabcdef0123456789ull;
     options.flags = kFrameFlagSample;
     StatusOr<Frame> frame = read_back(EncodeRequestFrame(request, options));
     ASSERT_TRUE(frame.ok()) << frame.status();
-    EXPECT_EQ(frame->version, kFrameVersion);
     EXPECT_EQ(frame->trace_id, 0xabcdef0123456789ull);
     EXPECT_EQ(frame->flags, kFrameFlagSample);
     WireRequest decoded;
     ASSERT_TRUE(DecodeRequestPayload(frame->payload, &decoded).ok());
     EXPECT_EQ(decoded.method, "retexpan");
   }
-  // v1 (a legacy peer): 20-byte header, decodes with absent trace
-  // context — an old client keeps working against a new server.
-  {
-    FrameOptions legacy;
-    legacy.version = kFrameVersionV1;
-    // Trace fields are ignored in v1 framing: nowhere to put them.
-    legacy.trace_id = 999;
-    legacy.flags = kFrameFlagSample;
-    const std::string bytes = EncodeRequestFrame(request, legacy);
-    StatusOr<Frame> frame = read_back(bytes);
-    ASSERT_TRUE(frame.ok()) << frame.status();
-    EXPECT_EQ(frame->version, kFrameVersionV1);
-    EXPECT_EQ(frame->trace_id, 0u);
-    EXPECT_EQ(frame->flags, 0u);
-    // And the v1 frame really is 12 bytes shorter than its v2 twin.
-    EXPECT_EQ(bytes.size() + (kFrameHeaderBytesV2 - kFrameHeaderBytes),
-              EncodeRequestFrame(request).size());
-  }
-  // An unknown future version fails closed.
-  {
-    FrameOptions future_version;
-    future_version.version = 3;
-    const StatusOr<Frame> frame =
-        read_back(EncodeRequestFrame(request, future_version));
-    ASSERT_FALSE(frame.ok());
+  // Every other version fails closed on the header's version field: v1
+  // (the retired trace-context-free header) and an unknown future one.
+  for (const uint32_t version : {1u, 3u}) {
+    std::string bytes = EncodeRequestFrame(request);
+    bytes[4] = static_cast<char>(version);  // u32 LE version, low byte
+    const StatusOr<Frame> frame = read_back(bytes);
+    ASSERT_FALSE(frame.ok()) << "version " << version;
     EXPECT_NE(frame.status().message().find("unsupported frame version"),
               std::string::npos)
         << frame.status();
   }
-  // The CRC covers the v2 header extension: a flipped trace-id byte is
-  // caught even though the payload is untouched.
+  // The CRC covers the trace context: a flipped trace-id byte is caught
+  // even though the payload is untouched.
   {
     std::string bad = EncodeRequestFrame(request);
-    bad[kFrameHeaderBytes + 3] ^= 0x20;  // inside the trace_id field
+    bad[kFramePrefixBytes + 3] ^= 0x20;  // inside the trace_id field
     const StatusOr<Frame> frame = read_back(bad);
     ASSERT_FALSE(frame.ok());
     EXPECT_NE(frame.status().message().find("checksum"), std::string::npos);
@@ -598,33 +578,45 @@ TEST(ServeTcpTest, GarbageBytesCountAsProtocolErrorAndCloseTheSession) {
   server.Shutdown();
 }
 
-TEST(ServeTcpTest, LegacyV1ClientInteroperatesEndToEnd) {
+TEST(ServeTcpTest, V1FrameIsAProtocolErrorAndV2ClientsKeepWorking) {
   const auto& queries = TestPipeline().dataset().queries;
   ExpansionService service(TestPipeline(), ServeConfig{});
   TcpServer server(service);
   ASSERT_TRUE(server.Start(0).ok());
 
-  // An old client speaks v1 framing; the server mirrors the version, so
-  // the session never carries a header extension the client cannot read.
-  auto legacy = ServeClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  legacy->set_wire_version(kFrameVersionV1);
-  ASSERT_TRUE(legacy->Ping().ok());
-  const auto ranking = legacy->ExpandByIndex("retexpan", 0, 20);
+  // A raw socket sends a well-formed ping whose header claims version 1.
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::string v1 = EncodeControlFrame(FrameKind::kPing);
+  v1[4] = 1;  // u32 LE version field
+  ASSERT_TRUE(WriteAll(fd, v1.data(), v1.size()).ok());
+  // The server drops the session after the 20-byte prefix: the next
+  // read fails (EOF, or a reset for the unread bytes), never a pong.
+  char byte;
+  EXPECT_FALSE(ReadExact(fd, &byte, 1).ok());
+  ::close(fd);
+  for (int spin = 0; spin < 100 && server.protocol_errors() == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server.protocol_errors(), 1);
+
+  // A v2 client on the same server is served as before.
+  auto current = ServeClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(current.ok()) << current.status();
+  ASSERT_TRUE(current->Ping().ok());
+  const auto ranking = current->ExpandByIndex("retexpan", 0, 20);
   ASSERT_TRUE(ranking.ok()) << ranking.status();
   EXPECT_EQ(*ranking, Reference("retexpan", queries[0], 20));
 
-  // A v2 client on the same server, same answer.
-  auto current = ServeClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(current.ok()) << current.status();
-  const auto v2_ranking = current->ExpandByIndex("retexpan", 0, 20);
-  ASSERT_TRUE(v2_ranking.ok()) << v2_ranking.status();
-  EXPECT_EQ(*v2_ranking, *ranking);
-
-  legacy->Close();
   current->Close();
   server.Shutdown();
-  EXPECT_EQ(server.protocol_errors(), 0);
+  EXPECT_EQ(server.protocol_errors(), 1);
 }
 
 TEST(ServeTcpTest, ForcedTraceLandsInSlowLogWithClientTraceId) {

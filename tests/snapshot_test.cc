@@ -205,9 +205,11 @@ TEST_F(SnapshotTest, IndexRoundTrip) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(SnapshotTest, IndexLoadsLegacyRawFormatIntoCompressedForm) {
-  // Hand-write the pre-compression payload (doc lengths + explicit
-  // (doc, tf) posting pairs), exactly what old artifact caches contain.
+TEST_F(SnapshotTest, IndexRejectsUntaggedLegacyRawFormat) {
+  // Hand-write the retired pre-compression payload (doc lengths +
+  // explicit (doc, tf) posting pairs), exactly what old artifact caches
+  // contain. It carries no version tag, so the load fails closed and the
+  // artifact cache treats the entry as a miss.
   InvertedIndex reference = BuildIndexForSnapshotTests();
   SnapshotWriter writer;
   writer.PutU64(reference.document_count());
@@ -232,30 +234,16 @@ TEST_F(SnapshotTest, IndexLoadsLegacyRawFormatIntoCompressedForm) {
           .ok());
 
   auto loaded = LoadIndexSnapshot(path.string());
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_TRUE(loaded->is_frozen());
-  reference.Freeze();
-  ASSERT_EQ(loaded->document_count(), reference.document_count());
-  for (const TokenId term : terms) {
-    EXPECT_EQ(loaded->DecodedPostings(term), reference.DecodedPostings(term));
-  }
-  Bm25Scorer loaded_scorer(&*loaded);
-  Bm25Scorer reference_scorer(&reference);
-  ASSERT_EQ(loaded_scorer.Search({2, 3, 5}, 20),
-            reference_scorer.Search({2, 3, 5}, 20));
-
-  // Saving the migrated index re-serializes it in the current format,
-  // which must round-trip bit-identically from here on.
-  const auto resaved = dir_ / "legacy_resaved.uws";
-  ASSERT_TRUE(SaveIndexSnapshot(*loaded, resaved.string()).ok());
-  auto reloaded = LoadIndexSnapshot(resaved.string());
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ(reloaded->compressed_payload(), loaded->compressed_payload());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
+  EXPECT_NE(loaded.status().message().find("untagged index payload"),
+            std::string::npos)
+      << loaded.status();
 }
 
 TEST_F(SnapshotTest, IndexRejectsUnknownPayloadVersion) {
   // A tagged payload with a version this build does not understand must
-  // fail closed, not fall through to the legacy parser.
+  // fail closed.
   SnapshotWriter writer;
   writer.PutU64(kIndexPayloadTagBase | (kIndexPayloadVersion + 1));
   writer.PutU64(0);  // arbitrary trailing bytes; the tag alone must reject

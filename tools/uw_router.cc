@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <unistd.h>
 
@@ -58,11 +59,17 @@ std::string FlagValue(int argc, char** argv, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string port_flag = FlagValue(argc, argv, "port", "");
-  // --port wins; otherwise UW_ROUTER_PORT (strictly parsed); 0 = ephemeral.
-  const int port = !port_flag.empty()
-                       ? ParseIntStrict(port_flag).value_or(0)
-                       : EnvInt("UW_ROUTER_PORT", 0, 0);
+  // --port wins; otherwise UW_ROUTER_PORT; 0 = ephemeral. A malformed
+  // port exits instead of silently binding an ephemeral one.
+  const char* port_env = std::getenv("UW_ROUTER_PORT");
+  const std::string port_text =
+      FlagValue(argc, argv, "port", port_env != nullptr ? port_env : "0");
+  const std::optional<int> port = ParsePort(port_text);
+  if (!port.has_value()) {
+    std::fprintf(stderr, "bad port %s (expected an integer in [0, 65535])\n",
+                 port_text.c_str());
+    return 2;
+  }
   const char* shards_env = std::getenv("UW_ROUTER_SHARDS");
   const std::string topology = FlagValue(
       argc, argv, "shards", shards_env != nullptr ? shards_env : "");
@@ -92,7 +99,7 @@ int main(int argc, char** argv) {
   }
 
   serve::TcpServer server(router);
-  const Status listening = server.Start(port);
+  const Status listening = server.Start(*port);
   if (!listening.ok()) {
     std::fprintf(stderr, "[uw_router] %s\n", listening.ToString().c_str());
     return 1;

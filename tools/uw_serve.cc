@@ -11,7 +11,9 @@
 // UW_SERVE_TIMEOUT_MS, UW_TRACE_SAMPLE, UW_SLOW_QUERY_MS). `--port=0`
 // (default UW_SERVE_PORT or 0) binds an ephemeral port; the bound port
 // is printed to stdout as "listening on port N" and, when
-// UW_SERVE_PORT_FILE is set, written to that path for scripts.
+// UW_SERVE_PORT_FILE is set, written to that path for scripts. Ports are
+// parsed strictly: a value that is not an integer in [0, 65535] (say
+// "50x1") exits 2 before the pipeline is built.
 //
 // `--shard=I/N` scopes the scatter plane (serve/router.h) to shard I of
 // an N-way candidate partition: the process answers ShardRetrieve /
@@ -178,9 +180,25 @@ void MaybeWriteShardManifest(
 
 int main(int argc, char** argv) {
   const char* port_env = std::getenv("UW_SERVE_PORT");
-  const int port = std::atoi(
-      FlagValue(argc, argv, "port", port_env != nullptr ? port_env : "0")
-          .c_str());
+  const std::string port_text =
+      FlagValue(argc, argv, "port", port_env != nullptr ? port_env : "0");
+  const std::optional<int> port = ParsePort(port_text);
+  if (!port.has_value()) {
+    std::fprintf(stderr, "bad port %s (expected an integer in [0, 65535])\n",
+                 port_text.c_str());
+    return 2;
+  }
+  const char* admin_port_env = std::getenv("UW_ADMIN_PORT");
+  std::optional<int> admin_port;
+  if (admin_port_env != nullptr) {
+    admin_port = ParsePort(admin_port_env);
+    if (!admin_port.has_value()) {
+      std::fprintf(stderr,
+                   "bad UW_ADMIN_PORT=%s (expected an integer in [0, 65535])\n",
+                   admin_port_env);
+      return 2;
+    }
+  }
   const std::string config_name =
       FlagValue(argc, argv, "config", "tiny");
   const double scale =
@@ -227,7 +245,7 @@ int main(int argc, char** argv) {
   MaybeWriteShardManifest(*generation, shard, generation_id);
 
   serve::TcpServer server(host);
-  const Status started = server.Start(port);
+  const Status started = server.Start(*port);
   if (!started.ok()) {
     std::fprintf(stderr, "[uw_serve] %s\n", started.ToString().c_str());
     return 1;
@@ -248,8 +266,8 @@ int main(int argc, char** argv) {
   // Optional admin listener: telemetry stays off the request plane and
   // scrapeable mid-load. UW_ADMIN_PORT=0 binds an ephemeral port.
   serve::AdminServer admin(host);
-  if (const char* admin_port_env = std::getenv("UW_ADMIN_PORT")) {
-    const Status admin_started = admin.Start(std::atoi(admin_port_env));
+  if (admin_port.has_value()) {
+    const Status admin_started = admin.Start(*admin_port);
     if (!admin_started.ok()) {
       std::fprintf(stderr, "[uw_serve] admin: %s\n",
                    admin_started.ToString().c_str());
