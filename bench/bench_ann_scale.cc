@@ -21,6 +21,7 @@
 
 #include "ann/ivf_index.h"
 #include "ann/scaled_store.h"
+#include "common/env.h"
 #include "embedding/entity_store.h"
 #include "math/topk.h"
 #include "obs/metrics.h"
@@ -31,18 +32,6 @@ namespace {
 constexpr size_t kTopK = 50;
 constexpr int kQueries = 32;
 constexpr int kSeedsPerQuery = 8;
-
-int64_t EnvEntities() {
-  if (const char* env = std::getenv("UW_ANN_BENCH_ENTITIES")) {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<int64_t>(parsed);
-    std::fprintf(stderr,
-                 "[ann_scale] UW_ANN_BENCH_ENTITIES=%s is not positive; "
-                 "using the default\n",
-                 env);
-  }
-  return 100000;
-}
 
 bool EnvAssert() {
   const char* env = std::getenv("UW_ANN_BENCH_ASSERT");
@@ -77,7 +66,7 @@ double MeasureQps(const Body& body) {
 }
 
 void Run() {
-  const int64_t entities = EnvEntities();
+  const int64_t entities = EnvInt("UW_ANN_BENCH_ENTITIES", 100000, 1);
   GeneratorConfig generator;
   generator.seed = 1;
   generator.scale_entities = entities;

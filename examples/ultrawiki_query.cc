@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 
+#include "common/env.h"
 #include "common/string_util.h"
 #include "eval/metrics.h"
 #include "expand/pipeline.h"
@@ -37,12 +38,12 @@ std::string FlagValue(int argc, char** argv, const std::string& name,
 int main(int argc, char** argv) {
   const std::string method_name =
       FlagValue(argc, argv, "method", "retexpan");
-  const int k = std::atoi(FlagValue(argc, argv, "k", "20").c_str());
+  const int k = ParseIntStrict(FlagValue(argc, argv, "k", "20")).value_or(0);
   const int query_index =
-      std::atoi(FlagValue(argc, argv, "query", "0").c_str());
+      ParseIntStrict(FlagValue(argc, argv, "query", "0")).value_or(-1);
   const double scale =
       std::atof(FlagValue(argc, argv, "scale", "0.12").c_str());
-  if (k <= 0 || scale <= 0.0) {
+  if (k <= 0 || query_index < 0 || scale <= 0.0) {
     std::cerr << "usage: " << argv[0]
               << " [--method=NAME] [--k=N] [--query=I] [--scale=S]\n";
     return 2;
@@ -60,8 +61,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto& queries = pipeline.dataset().queries;
-  if (query_index < 0 ||
-      static_cast<size_t>(query_index) >= queries.size()) {
+  if (static_cast<size_t>(query_index) >= queries.size()) {
     std::cerr << "--query out of range (have " << queries.size()
               << " queries)\n";
     return 2;

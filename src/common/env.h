@@ -8,8 +8,8 @@ namespace ultrawiki {
 
 /// Strictly parses `text` as a base-10 integer: optional sign, digits,
 /// nothing else. Trailing garbage ("64k"), empty strings, and values
-/// outside int range all return nullopt — unlike atoi, which silently
-/// truncates "64k" to 64 and maps garbage to 0.
+/// outside int range all return nullopt — where the C library's lenient
+/// parsers silently truncate "64k" to 64 and map garbage to 0.
 std::optional<int> ParseIntStrict(std::string_view text);
 
 /// Strictly parses a TCP port: an integer in [0, 65535], 0 meaning an

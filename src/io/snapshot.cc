@@ -102,7 +102,7 @@ void SnapshotWriter::PutF64(double value) {
 
 void SnapshotWriter::PutString(std::string_view text) {
   PutU64(text.size());
-  payload_.append(text.data(), text.size());
+  PutBytes(text);
 }
 
 void SnapshotWriter::PutFloats(std::span<const float> data) {
@@ -122,6 +122,10 @@ void SnapshotWriter::PutI32Vec(std::span<const int32_t> data) {
 void SnapshotWriter::PutStringVec(const std::vector<std::string>& strings) {
   PutU64(strings.size());
   for (const std::string& s : strings) PutString(s);
+}
+
+void SnapshotWriter::PutBytes(std::string_view bytes) {
+  payload_.append(bytes.data(), bytes.size());
 }
 
 // --- SnapshotReader ---

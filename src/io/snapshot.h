@@ -5,6 +5,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ann/ivf_index.h"
@@ -89,8 +90,14 @@ class SnapshotWriter {
   void PutFloatVec(std::span<const float> data);
   void PutI32Vec(std::span<const int32_t> data);
   void PutStringVec(const std::vector<std::string>& strings);
+  /// Raw bytes, no length prefix (an already-encoded record).
+  void PutBytes(std::string_view bytes);
 
+  /// Pre-sizes the buffer for a payload of `bytes` in total.
+  void Reserve(size_t bytes) { payload_.reserve(bytes); }
   const std::string& payload() const { return payload_; }
+  /// Moves the payload out, leaving the writer empty.
+  std::string TakePayload() { return std::move(payload_); }
 
  private:
   std::string payload_;

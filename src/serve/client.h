@@ -73,12 +73,21 @@ class ServeClient {
   uint64_t last_trace_id() const { return last_trace_id_; }
 
  private:
-  StatusOr<std::vector<EntityId>> RoundTrip(WireRequest request);
-  /// Sends an already-encoded frame and reads back one frame of
-  /// `expected` kind (shared by every scatter-plane call).
-  StatusOr<Frame> FrameRoundTrip(const std::string& encoded,
-                                 FrameKind expected);
-  FrameOptions MakeFrameOptions(uint64_t request_id);
+  /// Fills in the fields ExpandByIndex and ExpandQuery share and sends
+  /// `request`.
+  StatusOr<std::vector<EntityId>> Expand(WireRequest request,
+                                         const std::string& method, int k,
+                                         int timeout_ms);
+
+  /// The one round trip. Stamps the next request id, which is also the
+  /// frame's trace id (sampled under force_trace), frames `body` as a
+  /// `kind` request, sends it, and reads the reply. The reply must be of
+  /// ReplyKind(kind) and decode exactly — response envelope, then the
+  /// body via `read_body(SnapshotReader&)`, nothing after — and must
+  /// echo the request id. Returns the status the reply carries.
+  template <typename ReadBody>
+  Status Call(FrameKind kind, const SnapshotWriter& body,
+              ReadBody&& read_body);
 
   int fd_ = -1;
   uint64_t next_request_id_ = 1;

@@ -9,55 +9,74 @@ namespace ultrawiki {
 namespace serve {
 namespace {
 
-void AppendU32(uint32_t value, std::string& out) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
+/// The envelope's fixed fields: request id; request id + code + message
+/// length (the message bytes follow).
+constexpr size_t kRequestEnvelopeBytes = 8;
+constexpr size_t kResponseEnvelopeBytes = 20;
+/// A ShardScoredEntity on the wire: f32 score, u64 position, i32 id.
+constexpr size_t kShardEntityBytes = 16;
+
+/// Starts a frame whose payload is `payload_bytes` long: reserves room
+/// for the whole frame and writes the header.
+SnapshotWriter BeginFrame(FrameKind kind, size_t payload_bytes,
+                          const FrameOptions& options) {
+  SnapshotWriter frame;
+  frame.Reserve(kFrameHeaderBytes + payload_bytes + 4);
+  frame.PutU32(kFrameMagic);
+  frame.PutU32(kFrameVersion);
+  frame.PutU32(static_cast<uint32_t>(kind));
+  frame.PutU64(payload_bytes);
+  frame.PutU64(options.trace_id);
+  frame.PutU32(options.flags);
+  return frame;
 }
 
-void AppendU64(uint64_t value, std::string& out) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t ParseU32(const char* bytes) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-uint64_t ParseU64(const char* bytes) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(bytes[i]))
-             << (8 * i);
-  }
-  return value;
-}
-
-/// Frames `payload`: header, payload bytes, CRC32 over both.
-std::string FramePayload(FrameKind kind, std::string_view payload,
-                         const FrameOptions& options) {
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size() + 4);
-  AppendU32(kFrameMagic, out);
-  AppendU32(kFrameVersion, out);
-  AppendU32(static_cast<uint32_t>(kind), out);
-  AppendU64(payload.size(), out);
-  AppendU64(options.trace_id, out);
-  AppendU32(options.flags, out);
-  out.append(payload);
-  AppendU32(Crc32(out), out);
-  return out;
+/// Appends `body` and the CRC32 over everything before it.
+std::string FinishFrame(SnapshotWriter& frame, std::string_view body) {
+  frame.PutBytes(body);
+  frame.PutU32(Crc32(frame.payload()));
+  return frame.TakePayload();
 }
 
 bool KnownFrameKind(uint32_t kind) {
   return kind >= static_cast<uint32_t>(FrameKind::kExpandRequest) &&
          kind <= static_cast<uint32_t>(FrameKind::kQueryLookupResponse);
+}
+
+/// ReadExact for the bytes after a frame's first: EOF there is a
+/// truncated frame, not a clean close.
+Status ReadRestOfFrame(int fd, void* buffer, size_t bytes,
+                       const char* eof_message) {
+  Status status = ReadExact(fd, buffer, bytes);
+  if (status.code() == StatusCode::kUnavailable) {
+    return Status::Internal(eof_message);
+  }
+  return status;
+}
+
+}  // namespace
+
+void PutExpandRequest(SnapshotWriter& writer, const WireRequest& request) {
+  writer.PutString(request.method);
+  writer.PutU32(request.k);
+  writer.PutU32(request.timeout_ms);
+  writer.PutU32(request.by_index ? 1 : 0);
+  writer.PutU32(request.query_index);
+  PutQuery(writer, request.query);
+}
+
+void ReadExpandRequest(SnapshotReader& reader, WireRequest* request) {
+  uint32_t by_index = 0;
+  reader.ReadString(&request->method);
+  reader.ReadU32(&request->k);
+  reader.ReadU32(&request->timeout_ms);
+  reader.ReadU32(&by_index);
+  reader.ReadU32(&request->query_index);
+  ReadQuery(reader, &request->query);
+  if (reader.ok() && by_index > 1) {
+    reader.Corrupt("by_index flag out of range");
+  }
+  request->by_index = by_index == 1;
 }
 
 void PutQuery(SnapshotWriter& writer, const Query& query) {
@@ -72,221 +91,85 @@ void ReadQuery(SnapshotReader& reader, Query* query) {
   reader.ReadI32Vec(&query->neg_seeds);
 }
 
-void CheckStatusCode(SnapshotReader& reader, uint32_t code) {
-  if (reader.ok() &&
-      code > static_cast<uint32_t>(StatusCode::kUnavailable)) {
-    reader.Corrupt("status code out of range");
-  }
-}
-
-}  // namespace
-
-std::string EncodeRequestFrame(const WireRequest& request,
-                               const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(request.request_id);
-  writer.PutString(request.method);
-  writer.PutU32(request.k);
-  writer.PutU32(request.timeout_ms);
-  writer.PutU32(request.by_index ? 1 : 0);
-  writer.PutU32(request.query_index);
-  writer.PutI32(request.query.ultra_class);
-  writer.PutI32Vec(request.query.pos_seeds);
-  writer.PutI32Vec(request.query.neg_seeds);
-  return FramePayload(FrameKind::kExpandRequest, writer.payload(), options);
-}
-
-std::string EncodeResponseFrame(const WireResponse& response) {
-  SnapshotWriter writer;
-  writer.PutU64(response.request_id);
-  writer.PutU32(response.code);
-  writer.PutString(response.message);
-  writer.PutI32Vec(response.ranking);
-  return FramePayload(FrameKind::kExpandResponse, writer.payload(), {});
-}
-
-std::string EncodeControlFrame(FrameKind kind) {
-  return FramePayload(kind, {}, {});
-}
-
-std::string EncodeShardRetrieveRequestFrame(
-    const WireShardRetrieveRequest& request, const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(request.request_id);
-  writer.PutU64(request.size);
-  PutQuery(writer, request.query);
-  return FramePayload(FrameKind::kShardRetrieveRequest, writer.payload(),
-                      options);
-}
-
-std::string EncodeShardRetrieveResponseFrame(
-    const WireShardRetrieveResponse& response) {
-  SnapshotWriter writer;
-  writer.PutU64(response.request_id);
-  writer.PutU32(response.code);
-  writer.PutString(response.message);
-  writer.PutU64(response.entities.size());
-  for (const ShardScoredEntity& entity : response.entities) {
+void PutShardEntities(SnapshotWriter& writer,
+                      const std::vector<ShardScoredEntity>& entities) {
+  writer.PutU64(entities.size());
+  for (const ShardScoredEntity& entity : entities) {
     writer.PutF32(entity.score);
     writer.PutU64(entity.position);
     writer.PutI32(entity.id);
   }
-  return FramePayload(FrameKind::kShardRetrieveResponse, writer.payload(), {});
 }
 
-std::string EncodeShardScoreRequestFrame(const WireShardScoreRequest& request,
-                                         const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(request.request_id);
-  writer.PutI32Vec(request.ids);
-  PutQuery(writer, request.query);
-  return FramePayload(FrameKind::kShardScoreRequest, writer.payload(),
-                      options);
-}
-
-std::string EncodeShardScoreResponseFrame(
-    const WireShardScoreResponse& response) {
-  SnapshotWriter writer;
-  writer.PutU64(response.request_id);
-  writer.PutU32(response.code);
-  writer.PutString(response.message);
-  writer.PutFloatVec(response.scores.pos);
-  writer.PutFloatVec(response.scores.neg);
-  return FramePayload(FrameKind::kShardScoreResponse, writer.payload(), {});
-}
-
-std::string EncodeQueryLookupRequestFrame(
-    const WireQueryLookupRequest& request, const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(request.request_id);
-  writer.PutU32(request.query_index);
-  return FramePayload(FrameKind::kQueryLookupRequest, writer.payload(),
-                      options);
-}
-
-std::string EncodeQueryLookupResponseFrame(
-    const WireQueryLookupResponse& response) {
-  SnapshotWriter writer;
-  writer.PutU64(response.request_id);
-  writer.PutU32(response.code);
-  writer.PutString(response.message);
-  PutQuery(writer, response.query);
-  return FramePayload(FrameKind::kQueryLookupResponse, writer.payload(), {});
-}
-
-Status DecodeRequestPayload(std::string_view payload, WireRequest* request) {
-  SnapshotReader reader(payload);
-  uint32_t by_index = 0;
-  reader.ReadU64(&request->request_id);
-  reader.ReadString(&request->method);
-  reader.ReadU32(&request->k);
-  reader.ReadU32(&request->timeout_ms);
-  reader.ReadU32(&by_index);
-  reader.ReadU32(&request->query_index);
-  reader.ReadI32(&request->query.ultra_class);
-  reader.ReadI32Vec(&request->query.pos_seeds);
-  reader.ReadI32Vec(&request->query.neg_seeds);
-  if (reader.ok() && by_index > 1) {
-    reader.Corrupt("by_index flag out of range");
-  }
-  request->by_index = by_index == 1;
-  return reader.Finish();
-}
-
-Status DecodeResponsePayload(std::string_view payload,
-                             WireResponse* response) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&response->request_id);
-  reader.ReadU32(&response->code);
-  reader.ReadString(&response->message);
-  reader.ReadI32Vec(&response->ranking);
-  if (reader.ok() &&
-      response->code > static_cast<uint32_t>(StatusCode::kUnavailable)) {
-    reader.Corrupt("status code out of range");
-  }
-  return reader.Finish();
-}
-
-Status DecodeShardRetrieveRequestPayload(std::string_view payload,
-                                         WireShardRetrieveRequest* request) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&request->request_id);
-  reader.ReadU64(&request->size);
-  ReadQuery(reader, &request->query);
-  if (reader.ok() && request->size > kMaxFramePayload) {
-    reader.Corrupt("retrieve size implausibly large");
-  }
-  return reader.Finish();
-}
-
-Status DecodeShardRetrieveResponsePayload(
-    std::string_view payload, WireShardRetrieveResponse* response) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&response->request_id);
-  reader.ReadU32(&response->code);
-  reader.ReadString(&response->message);
+void ReadShardEntities(SnapshotReader& reader,
+                       std::vector<ShardScoredEntity>* entities) {
   uint64_t count = 0;
   reader.ReadU64(&count);
-  // Each entity is 16 encoded bytes; cap the count against the remaining
-  // payload before any allocation, same discipline as ReadI32Vec.
-  if (reader.ok() && count * 16 > reader.remaining()) {
+  // Cap the count against the remaining payload before any allocation,
+  // same discipline as ReadI32Vec.
+  if (reader.ok() && count > reader.remaining() / kShardEntityBytes) {
     reader.Corrupt("entity count exceeds payload");
   }
-  response->entities.clear();
-  if (reader.ok()) {
-    response->entities.resize(static_cast<size_t>(count));
-    for (ShardScoredEntity& entity : response->entities) {
-      reader.ReadF32(&entity.score);
-      reader.ReadU64(&entity.position);
-      reader.ReadI32(&entity.id);
-    }
+  entities->clear();
+  if (!reader.ok()) return;
+  entities->resize(static_cast<size_t>(count));
+  for (ShardScoredEntity& entity : *entities) {
+    reader.ReadF32(&entity.score);
+    reader.ReadU64(&entity.position);
+    reader.ReadI32(&entity.id);
   }
-  CheckStatusCode(reader, response->code);
-  return reader.Finish();
 }
 
-Status DecodeShardScoreRequestPayload(std::string_view payload,
-                                      WireShardScoreRequest* request) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&request->request_id);
-  reader.ReadI32Vec(&request->ids);
-  ReadQuery(reader, &request->query);
-  return reader.Finish();
+void PutShardScores(SnapshotWriter& writer, const ShardScores& scores) {
+  writer.PutFloatVec(scores.pos);
+  writer.PutFloatVec(scores.neg);
 }
 
-Status DecodeShardScoreResponsePayload(std::string_view payload,
-                                       WireShardScoreResponse* response) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&response->request_id);
-  reader.ReadU32(&response->code);
-  reader.ReadString(&response->message);
-  reader.ReadFloatVec(&response->scores.pos);
-  reader.ReadFloatVec(&response->scores.neg);
-  if (reader.ok() &&
-      response->scores.pos.size() != response->scores.neg.size()) {
+void ReadShardScores(SnapshotReader& reader, ShardScores* scores) {
+  reader.ReadFloatVec(&scores->pos);
+  reader.ReadFloatVec(&scores->neg);
+  if (reader.ok() && scores->pos.size() != scores->neg.size()) {
     reader.Corrupt("pos/neg score lengths differ");
   }
-  CheckStatusCode(reader, response->code);
-  return reader.Finish();
 }
 
-Status DecodeQueryLookupRequestPayload(std::string_view payload,
-                                       WireQueryLookupRequest* request) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&request->request_id);
-  reader.ReadU32(&request->query_index);
-  return reader.Finish();
+void ReadResponseEnvelope(SnapshotReader& reader, uint64_t* request_id,
+                          Status* status) {
+  uint32_t code = 0;
+  std::string message;
+  reader.ReadU64(request_id);
+  reader.ReadU32(&code);
+  reader.ReadString(&message);
+  if (reader.ok() &&
+      code > static_cast<uint32_t>(StatusCode::kUnavailable)) {
+    reader.Corrupt("status code out of range");
+  }
+  *status = Status(static_cast<StatusCode>(code), std::move(message));
 }
 
-Status DecodeQueryLookupResponsePayload(std::string_view payload,
-                                        WireQueryLookupResponse* response) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&response->request_id);
-  reader.ReadU32(&response->code);
-  reader.ReadString(&response->message);
-  ReadQuery(reader, &response->query);
-  CheckStatusCode(reader, response->code);
-  return reader.Finish();
+std::string EncodeRequestFrame(FrameKind kind, uint64_t request_id,
+                               std::string_view body,
+                               const FrameOptions& options) {
+  SnapshotWriter frame =
+      BeginFrame(kind, kRequestEnvelopeBytes + body.size(), options);
+  frame.PutU64(request_id);
+  return FinishFrame(frame, body);
+}
+
+std::string EncodeResponseFrame(FrameKind kind, uint64_t request_id,
+                                const Status& status, std::string_view body) {
+  SnapshotWriter frame = BeginFrame(
+      kind,
+      kResponseEnvelopeBytes + status.message().size() + body.size(), {});
+  frame.PutU64(request_id);
+  frame.PutU32(static_cast<uint32_t>(status.code()));
+  frame.PutString(status.message());
+  return FinishFrame(frame, body);
+}
+
+std::string EncodeControlFrame(FrameKind kind) {
+  SnapshotWriter frame = BeginFrame(kind, 0, {});
+  return FinishFrame(frame, {});
 }
 
 Status ReadExact(int fd, void* buffer, size_t bytes) {
@@ -329,56 +212,55 @@ StatusOr<Frame> ReadFrame(int fd) {
   char header[kFrameHeaderBytes];
   Status status = ReadExact(fd, header, kFramePrefixBytes);
   if (!status.ok()) return status;
-  if (ParseU32(header) != kFrameMagic) {
+  SnapshotReader prefix(std::string_view(header, kFramePrefixBytes));
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  uint32_t kind = 0;
+  uint64_t payload_len = 0;
+  prefix.ReadU32(&magic);
+  prefix.ReadU32(&version);
+  prefix.ReadU32(&kind);
+  prefix.ReadU64(&payload_len);
+  if (magic != kFrameMagic) {
     return Status::Internal("bad frame magic");
   }
-  const uint32_t version = ParseU32(header + 4);
   if (version != kFrameVersion) {
     return Status::Internal("unsupported frame version " +
                             std::to_string(version));
   }
-  const uint32_t kind = ParseU32(header + 8);
   if (!KnownFrameKind(kind)) {
     return Status::Internal("unknown frame kind " + std::to_string(kind));
   }
-  const uint64_t payload_len = ParseU64(header + 12);
   if (payload_len > kMaxFramePayload) {
     return Status::Internal("frame payload too large (" +
                             std::to_string(payload_len) + " bytes)");
   }
-  status = ReadExact(fd, header + kFramePrefixBytes,
-                     kFrameHeaderBytes - kFramePrefixBytes);
-  if (!status.ok()) {
-    if (status.code() == StatusCode::kUnavailable) {
-      return Status::Internal("connection closed mid-frame");
-    }
-    return status;
-  }
+  status = ReadRestOfFrame(fd, header + kFramePrefixBytes,
+                           kFrameHeaderBytes - kFramePrefixBytes,
+                           "connection closed mid-frame");
+  if (!status.ok()) return status;
   Frame frame;
   frame.kind = static_cast<FrameKind>(kind);
-  frame.trace_id = ParseU64(header + 20);
-  frame.flags = ParseU32(header + 28);
+  SnapshotReader trace(std::string_view(
+      header + kFramePrefixBytes, kFrameHeaderBytes - kFramePrefixBytes));
+  trace.ReadU64(&frame.trace_id);
+  trace.ReadU32(&frame.flags);
   frame.payload.resize(static_cast<size_t>(payload_len));
   if (payload_len > 0) {
-    status = ReadExact(fd, frame.payload.data(), frame.payload.size());
-    if (!status.ok()) {
-      if (status.code() == StatusCode::kUnavailable) {
-        return Status::Internal("connection closed mid-frame");
-      }
-      return status;
-    }
+    status = ReadRestOfFrame(fd, frame.payload.data(), frame.payload.size(),
+                             "connection closed mid-frame");
+    if (!status.ok()) return status;
   }
   char footer[4];
-  status = ReadExact(fd, footer, sizeof(footer));
-  if (!status.ok()) {
-    if (status.code() == StatusCode::kUnavailable) {
-      return Status::Internal("connection closed before checksum");
-    }
-    return status;
-  }
+  status = ReadRestOfFrame(fd, footer, sizeof(footer),
+                           "connection closed before checksum");
+  if (!status.ok()) return status;
+  uint32_t expected_crc = 0;
+  SnapshotReader(std::string_view(footer, sizeof(footer)))
+      .ReadU32(&expected_crc);
   uint32_t crc = Crc32(std::string_view(header, kFrameHeaderBytes));
   crc = Crc32(frame.payload, crc);
-  if (crc != ParseU32(footer)) {
+  if (crc != expected_crc) {
     return Status::Internal("frame checksum mismatch");
   }
   return frame;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -52,6 +53,7 @@ inline constexpr uint32_t kFrameFlagSample = 1u << 0;
 /// thousand ranked ids; 16 MiB bounds a hostile length field.
 inline constexpr uint64_t kMaxFramePayload = 16ull << 20;
 
+/// Every response kind is its request kind + 1 (see ReplyKind).
 enum class FrameKind : uint32_t {
   kExpandRequest = 1,
   kExpandResponse = 2,
@@ -68,30 +70,43 @@ enum class FrameKind : uint32_t {
   kQueryLookupResponse = 10,
 };
 
-/// One query over the wire. Either `by_index` (resolve against the
+/// The kind that answers `request` (kPing answers with kPong).
+inline FrameKind ReplyKind(FrameKind request) {
+  return static_cast<FrameKind>(static_cast<uint32_t>(request) + 1);
+}
+
+/// Payloads. Every request payload opens with the request envelope,
+/// `u64 request_id`; every response payload opens with the response
+/// envelope, `u64 request_id, u32 code (StatusCode), string message`,
+/// which echoes the request's id and says how it went. The kind's body
+/// follows the envelope. An error response still carries its body, empty.
+///
+///   kind                    body
+///   kExpandRequest          WireRequest            (Put/ReadExpandRequest)
+///   kExpandResponse         ranking: i32 vector    (Put/ReadI32Vec)
+///   kShardRetrieveRequest   u64 size, Query        (PutU64, PutQuery)
+///   kShardRetrieveResponse  ShardScoredEntity list (Put/ReadShardEntities)
+///   kShardScoreRequest      i32 vector ids, Query  (PutI32Vec, PutQuery)
+///   kShardScoreResponse     ShardScores            (Put/ReadShardScores)
+///   kQueryLookupRequest     u32 query index        (PutU32)
+///   kQueryLookupResponse    Query                  (Put/ReadQuery)
+///   kPing, kPong            no payload, no envelope
+///
+/// Each Read* below fails its reader (SnapshotReader::Corrupt or a short
+/// read) on a malformed body and never allocates more than the remaining
+/// payload could hold; callers test `Finish()` once, which also rejects
+/// trailing bytes.
+
+/// The expand request body. Either `by_index` (resolve against the
 /// server's dataset — the common scripting path) or an explicit Query
 /// (ultra_class is carried for bookkeeping but seeds drive expansion).
 struct WireRequest {
-  uint64_t request_id = 0;
   std::string method;      // "retexpan", "genexpan", ... (service.h)
   uint32_t k = 20;         // ranking length
   uint32_t timeout_ms = 0; // 0 = server default (UW_SERVE_TIMEOUT_MS)
   bool by_index = true;
   uint32_t query_index = 0;
   Query query;             // used when !by_index
-};
-
-/// The matching response: the request's id, a status, and (when OK) the
-/// ranked entity ids, best first.
-struct WireResponse {
-  uint64_t request_id = 0;
-  uint32_t code = 0;  // StatusCode
-  std::string message;
-  std::vector<EntityId> ranking;
-
-  Status ToStatus() const {
-    return Status(static_cast<StatusCode>(code), message);
-  }
 };
 
 /// One candidate scored by a shard's recall stage: the exact full-scan
@@ -113,61 +128,21 @@ struct ShardScores {
   std::vector<float> neg;
 };
 
-/// Scatter recall request: top-`size` of the shard's candidate slice by
-/// positive-seed centroid score, seeds excluded.
-struct WireShardRetrieveRequest {
-  uint64_t request_id = 0;
-  uint64_t size = 0;
-  Query query;
-};
+void PutExpandRequest(SnapshotWriter& writer, const WireRequest& request);
+void ReadExpandRequest(SnapshotReader& reader, WireRequest* request);
+void PutQuery(SnapshotWriter& writer, const Query& query);
+void ReadQuery(SnapshotReader& reader, Query* query);
+void PutShardEntities(SnapshotWriter& writer,
+                      const std::vector<ShardScoredEntity>& entities);
+void ReadShardEntities(SnapshotReader& reader,
+                       std::vector<ShardScoredEntity>* entities);
+void PutShardScores(SnapshotWriter& writer, const ShardScores& scores);
+/// Rejects pos/neg vectors of different lengths.
+void ReadShardScores(SnapshotReader& reader, ShardScores* scores);
 
-struct WireShardRetrieveResponse {
-  uint64_t request_id = 0;
-  uint32_t code = 0;  // StatusCode
-  std::string message;
-  std::vector<ShardScoredEntity> entities;
-
-  Status ToStatus() const {
-    return Status(static_cast<StatusCode>(code), message);
-  }
-};
-
-/// Scatter score request: pos/neg seed-centroid scores for explicit ids
-/// (the rerank phase sends each shard the merged-list ids it owns).
-struct WireShardScoreRequest {
-  uint64_t request_id = 0;
-  std::vector<EntityId> ids;
-  Query query;
-};
-
-struct WireShardScoreResponse {
-  uint64_t request_id = 0;
-  uint32_t code = 0;  // StatusCode
-  std::string message;
-  ShardScores scores;
-
-  Status ToStatus() const {
-    return Status(static_cast<StatusCode>(code), message);
-  }
-};
-
-/// Resolves a dataset query index to its full Query so the router can
-/// serve by-index requests without a resident pipeline.
-struct WireQueryLookupRequest {
-  uint64_t request_id = 0;
-  uint32_t query_index = 0;
-};
-
-struct WireQueryLookupResponse {
-  uint64_t request_id = 0;
-  uint32_t code = 0;  // StatusCode
-  std::string message;
-  Query query;
-
-  Status ToStatus() const {
-    return Status(static_cast<StatusCode>(code), message);
-  }
-};
+/// Reads the response envelope. A code outside StatusCode fails `reader`.
+void ReadResponseEnvelope(SnapshotReader& reader, uint64_t* request_id,
+                          Status* status);
 
 /// Header-level framing knobs for requests: the trace context carried in
 /// the header. The defaults frame a request with no trace context.
@@ -177,42 +152,16 @@ struct FrameOptions {
   uint32_t flags = 0;
 };
 
-/// Serializes a request/response payload and frames it (header + CRC32).
-std::string EncodeRequestFrame(const WireRequest& request,
+/// Frames a request: header, request envelope, `body`, CRC32.
+std::string EncodeRequestFrame(FrameKind kind, uint64_t request_id,
+                               std::string_view body,
                                const FrameOptions& options = {});
-std::string EncodeResponseFrame(const WireResponse& response);
+/// Frames a response: header, response envelope (`status` as its code
+/// and message), `body`, CRC32.
+std::string EncodeResponseFrame(FrameKind kind, uint64_t request_id,
+                                const Status& status, std::string_view body);
 /// Payload-free control frames (ping/pong).
 std::string EncodeControlFrame(FrameKind kind);
-/// Scatter-plane frames (same framing discipline, distinct kinds).
-std::string EncodeShardRetrieveRequestFrame(
-    const WireShardRetrieveRequest& request, const FrameOptions& options = {});
-std::string EncodeShardRetrieveResponseFrame(
-    const WireShardRetrieveResponse& response);
-std::string EncodeShardScoreRequestFrame(const WireShardScoreRequest& request,
-                                         const FrameOptions& options = {});
-std::string EncodeShardScoreResponseFrame(
-    const WireShardScoreResponse& response);
-std::string EncodeQueryLookupRequestFrame(
-    const WireQueryLookupRequest& request, const FrameOptions& options = {});
-std::string EncodeQueryLookupResponseFrame(
-    const WireQueryLookupResponse& response);
-
-/// Decodes a payload previously carried by a verified frame.
-Status DecodeRequestPayload(std::string_view payload, WireRequest* request);
-Status DecodeResponsePayload(std::string_view payload,
-                             WireResponse* response);
-Status DecodeShardRetrieveRequestPayload(std::string_view payload,
-                                         WireShardRetrieveRequest* request);
-Status DecodeShardRetrieveResponsePayload(std::string_view payload,
-                                          WireShardRetrieveResponse* response);
-Status DecodeShardScoreRequestPayload(std::string_view payload,
-                                      WireShardScoreRequest* request);
-Status DecodeShardScoreResponsePayload(std::string_view payload,
-                                       WireShardScoreResponse* response);
-Status DecodeQueryLookupRequestPayload(std::string_view payload,
-                                       WireQueryLookupRequest* request);
-Status DecodeQueryLookupResponsePayload(std::string_view payload,
-                                        WireQueryLookupResponse* response);
 
 /// A verified frame read off a socket: kind + raw payload bytes, plus the
 /// trace context from its header.

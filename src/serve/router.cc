@@ -1,10 +1,6 @@
 #include "serve/router.h"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,6 +18,7 @@
 #include "math/topk.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/tcp_listener.h"
 
 namespace ultrawiki {
 namespace serve {
@@ -72,37 +69,9 @@ Status FanOut(const std::vector<int>& shards,
 /// request, read to EOF. Returns the full response (headers + body).
 StatusOr<std::string> HttpGet(const std::string& host, int port,
                               const std::string& path, int timeout_ms) {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* results = nullptr;
-  const int rc = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(),
-                               &hints, &results);
-  if (rc != 0) {
-    return Status::Unavailable(std::string("getaddrinfo: ") +
-                               ::gai_strerror(rc));
-  }
-  int fd = -1;
-  Status last = Status::Unavailable("no addresses for " + host);
-  timeval timeout{};
-  timeout.tv_sec = timeout_ms / 1000;
-  timeout.tv_usec = (timeout_ms % 1000) * 1000;
-  for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) {
-      last = Status::Internal(std::string("socket: ") + std::strerror(errno));
-      continue;
-    }
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    last = Status::Unavailable(std::string("connect: ") +
-                               std::strerror(errno));
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(results);
-  if (fd < 0) return last;
+  StatusOr<int> connected = ConnectTcp(host, port, timeout_ms);
+  if (!connected.ok()) return connected.status();
+  const int fd = *connected;
   const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
       static_cast<ssize_t>(request.size())) {
@@ -169,16 +138,15 @@ StatusOr<RouterConfig> RouterConfig::ParseTopology(
     std::string port_part = entry.substr(colon + 1);
     const size_t slash = port_part.find('/');
     if (slash != std::string::npos) {
-      const std::optional<int> admin =
-          ParseIntStrict(port_part.substr(slash + 1));
-      if (!admin.has_value() || *admin <= 0) {
+      const std::optional<int> admin = ParsePort(port_part.substr(slash + 1));
+      if (!admin.has_value() || *admin == 0) {
         return Status::InvalidArgument("bad admin port in: " + entry);
       }
       endpoint.admin_port = *admin;
       port_part.resize(slash);
     }
-    const std::optional<int> port = ParseIntStrict(port_part);
-    if (!port.has_value() || *port <= 0) {
+    const std::optional<int> port = ParsePort(port_part);
+    if (!port.has_value() || *port == 0) {
       return Status::InvalidArgument("bad port in: " + entry);
     }
     endpoint.port = *port;

@@ -22,6 +22,117 @@ NetMetrics& Metrics() {
   return *metrics;
 }
 
+/// The response body's value when the call failed: an error response
+/// carries an empty body, laid out like any other.
+template <typename T>
+const T& ValueOrEmpty(const StatusOr<T>& result) {
+  static const T* empty = new T();
+  return result.ok() ? *result : *empty;
+}
+
+// Request handlers. Each reads its request body from `in` and returns a
+// malformed body's status: a protocol error. A body that decoded exactly
+// goes to the frontend, whose status lands in `*result` and whose answer
+// is written to `out` as the response body.
+
+Status ServeExpand(Frontend& frontend, const Frame& frame,
+                   SnapshotReader& in, Status* result, SnapshotWriter& out) {
+  WireRequest request;
+  ReadExpandRequest(in, &request);
+  const Status decoded = in.Finish();
+  if (!decoded.ok()) return decoded;
+  ExpandRequest expand;
+  expand.method = std::move(request.method);
+  expand.k = static_cast<int>(request.k);
+  expand.timeout_ms =
+      request.timeout_ms > 0 ? static_cast<int>(request.timeout_ms) : -1;
+  // Trace context rides in the frame header, not the payload.
+  expand.trace_id = frame.trace_id;
+  expand.force_trace = (frame.flags & kFrameFlagSample) != 0;
+  if (request.by_index) {
+    StatusOr<Query> query = frontend.QueryByIndex(request.query_index);
+    if (!query.ok()) {
+      *result = query.status();
+      out.PutI32Vec({});
+      return Status::Ok();
+    }
+    expand.query = std::move(*query);
+  } else {
+    expand.query = std::move(request.query);
+  }
+  // Blocking per connection keeps responses in request order; the
+  // service batches across connections, not within one.
+  ExpandResult expanded = frontend.Expand(std::move(expand));
+  *result = std::move(expanded.status);
+  out.PutI32Vec(expanded.ranking);
+  return Status::Ok();
+}
+
+Status ServeShardRetrieve(Frontend& frontend, SnapshotReader& in,
+                          Status* result, SnapshotWriter& out) {
+  uint64_t size = 0;
+  Query query;
+  in.ReadU64(&size);
+  ReadQuery(in, &query);
+  if (in.ok() && size > kMaxFramePayload) {
+    in.Corrupt("retrieve size implausibly large");
+  }
+  const Status decoded = in.Finish();
+  if (!decoded.ok()) return decoded;
+  const StatusOr<std::vector<ShardScoredEntity>> entities =
+      frontend.ScatterRetrieve(query, static_cast<size_t>(size));
+  *result = entities.status();
+  PutShardEntities(out, ValueOrEmpty(entities));
+  return Status::Ok();
+}
+
+Status ServeShardScore(Frontend& frontend, SnapshotReader& in,
+                       Status* result, SnapshotWriter& out) {
+  std::vector<EntityId> ids;
+  Query query;
+  in.ReadI32Vec(&ids);
+  ReadQuery(in, &query);
+  const Status decoded = in.Finish();
+  if (!decoded.ok()) return decoded;
+  const StatusOr<ShardScores> scores = frontend.ScatterScore(query, ids);
+  *result = scores.status();
+  PutShardScores(out, ValueOrEmpty(scores));
+  return Status::Ok();
+}
+
+Status ServeQueryLookup(Frontend& frontend, SnapshotReader& in,
+                        Status* result, SnapshotWriter& out) {
+  uint32_t query_index = 0;
+  in.ReadU32(&query_index);
+  const Status decoded = in.Finish();
+  if (!decoded.ok()) return decoded;
+  const StatusOr<Query> query = frontend.QueryByIndex(query_index);
+  *result = query.status();
+  PutQuery(out, ValueOrEmpty(query));
+  return Status::Ok();
+}
+
+/// Routes a request frame to its kind's handler; `in` is positioned
+/// after the request envelope.
+Status ServeRequest(Frontend& frontend, const Frame& frame,
+                    SnapshotReader& in, Status* result, SnapshotWriter& out) {
+  switch (frame.kind) {
+    case FrameKind::kExpandRequest:
+      return ServeExpand(frontend, frame, in, result, out);
+    case FrameKind::kShardRetrieveRequest:
+      return ServeShardRetrieve(frontend, in, result, out);
+    case FrameKind::kShardScoreRequest:
+      return ServeShardScore(frontend, in, result, out);
+    case FrameKind::kQueryLookupRequest:
+      return ServeQueryLookup(frontend, in, result, out);
+    default:
+      // Response kinds arriving at a server are a protocol violation.
+      return Status::Internal(
+          "unexpected frame kind " +
+          std::to_string(static_cast<uint32_t>(frame.kind)));
+  }
+}
+
 }  // namespace
 
 TcpServer::TcpServer(Frontend& frontend)
@@ -50,157 +161,42 @@ void TcpServer::HandleConnection(int fd) {
   while (true) {
     StatusOr<Frame> frame = ReadFrame(fd);
     if (!frame.ok()) {
-      // A clean EOF ends the session; anything else is a protocol error
-      // worth counting (and fatal for this connection either way).
+      // A clean EOF ends the session; anything else is a protocol error.
       if (!(frame.status().code() == StatusCode::kUnavailable &&
             frame.status().message() == "eof")) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().protocol_errors.Increment();
-        UW_LOG(Warning) << "connection dropped: " << frame.status();
+        ProtocolError(frame.status());
       }
       return;
     }
+    std::string reply;
     if (frame->kind == FrameKind::kPing) {
-      const std::string pong = EncodeControlFrame(FrameKind::kPong);
-      if (!WriteAll(fd, pong.data(), pong.size()).ok()) return;
-      continue;
-    }
-
-    if (frame->kind == FrameKind::kExpandRequest) {
-      WireRequest request;
-      const Status decoded = DecodeRequestPayload(frame->payload, &request);
-      if (!decoded.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().protocol_errors.Increment();
-        UW_LOG(Warning) << "undecodable request: " << decoded;
-        return;
-      }
-      requests_served_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().requests.Increment();
-
-      WireResponse response;
-      response.request_id = request.request_id;
-      ExpandRequest expand;
-      expand.method = request.method;
-      expand.k = static_cast<int>(request.k);
-      expand.timeout_ms =
-          request.timeout_ms > 0 ? static_cast<int>(request.timeout_ms) : -1;
-      // Trace context rides in the frame header, not the payload.
-      expand.trace_id = frame->trace_id;
-      expand.force_trace = (frame->flags & kFrameFlagSample) != 0;
-      bool resolved = true;
-      if (request.by_index) {
-        StatusOr<Query> query = frontend_.QueryByIndex(request.query_index);
-        if (!query.ok()) {
-          response.code = static_cast<uint32_t>(query.status().code());
-          response.message = query.status().message();
-          resolved = false;
-        } else {
-          expand.query = std::move(*query);
-        }
-      } else {
-        expand.query = std::move(request.query);
-      }
-      if (resolved) {
-        // Blocking per connection keeps responses in request order; the
-        // service batches across connections, not within one.
-        ExpandResult result = frontend_.Expand(std::move(expand));
-        response.code = static_cast<uint32_t>(result.status.code());
-        response.message = result.status.message();
-        response.ranking = std::move(result.ranking);
-      }
-      const std::string encoded = EncodeResponseFrame(response);
-      if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
-      continue;
-    }
-
-    if (frame->kind == FrameKind::kShardRetrieveRequest) {
-      WireShardRetrieveRequest request;
+      reply = EncodeControlFrame(FrameKind::kPong);
+    } else {
+      SnapshotReader in(frame->payload);
+      uint64_t request_id = 0;
+      in.ReadU64(&request_id);  // the request envelope
+      Status result;
+      SnapshotWriter body;
       const Status decoded =
-          DecodeShardRetrieveRequestPayload(frame->payload, &request);
+          ServeRequest(frontend_, *frame, in, &result, body);
       if (!decoded.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().protocol_errors.Increment();
-        UW_LOG(Warning) << "undecodable shard retrieve: " << decoded;
+        // A malformed request ends the session, like a malformed frame.
+        ProtocolError(decoded);
         return;
       }
       requests_served_.fetch_add(1, std::memory_order_relaxed);
       Metrics().requests.Increment();
-      WireShardRetrieveResponse response;
-      response.request_id = request.request_id;
-      StatusOr<std::vector<ShardScoredEntity>> entities =
-          frontend_.ScatterRetrieve(request.query,
-                                    static_cast<size_t>(request.size));
-      if (entities.ok()) {
-        response.entities = std::move(*entities);
-      } else {
-        response.code = static_cast<uint32_t>(entities.status().code());
-        response.message = entities.status().message();
-      }
-      const std::string encoded = EncodeShardRetrieveResponseFrame(response);
-      if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
-      continue;
+      reply = EncodeResponseFrame(ReplyKind(frame->kind), request_id, result,
+                                  body.payload());
     }
-
-    if (frame->kind == FrameKind::kShardScoreRequest) {
-      WireShardScoreRequest request;
-      const Status decoded =
-          DecodeShardScoreRequestPayload(frame->payload, &request);
-      if (!decoded.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().protocol_errors.Increment();
-        UW_LOG(Warning) << "undecodable shard score: " << decoded;
-        return;
-      }
-      requests_served_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().requests.Increment();
-      WireShardScoreResponse response;
-      response.request_id = request.request_id;
-      StatusOr<ShardScores> scores =
-          frontend_.ScatterScore(request.query, request.ids);
-      if (scores.ok()) {
-        response.scores = std::move(*scores);
-      } else {
-        response.code = static_cast<uint32_t>(scores.status().code());
-        response.message = scores.status().message();
-      }
-      const std::string encoded = EncodeShardScoreResponseFrame(response);
-      if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
-      continue;
-    }
-
-    if (frame->kind == FrameKind::kQueryLookupRequest) {
-      WireQueryLookupRequest request;
-      const Status decoded =
-          DecodeQueryLookupRequestPayload(frame->payload, &request);
-      if (!decoded.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().protocol_errors.Increment();
-        UW_LOG(Warning) << "undecodable query lookup: " << decoded;
-        return;
-      }
-      requests_served_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().requests.Increment();
-      WireQueryLookupResponse response;
-      response.request_id = request.request_id;
-      StatusOr<Query> query = frontend_.QueryByIndex(request.query_index);
-      if (query.ok()) {
-        response.query = std::move(*query);
-      } else {
-        response.code = static_cast<uint32_t>(query.status().code());
-        response.message = query.status().message();
-      }
-      const std::string encoded = EncodeQueryLookupResponseFrame(response);
-      if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
-      continue;
-    }
-
-    // Response kinds (or future kinds) arriving at a server are a
-    // protocol violation.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().protocol_errors.Increment();
-    return;
+    if (!WriteAll(fd, reply.data(), reply.size()).ok()) return;
   }
+}
+
+void TcpServer::ProtocolError(const Status& status) {
+  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  Metrics().protocol_errors.Increment();
+  UW_LOG(Warning) << "connection dropped: " << status;
 }
 
 void TcpServer::Shutdown() {

@@ -77,6 +77,8 @@ class TcpServer {
 
  private:
   void HandleConnection(int fd);
+  /// Counts and logs a protocol error; the caller drops the connection.
+  void ProtocolError(const Status& status);
 
   /// Set only by the ExpansionService convenience constructor.
   std::unique_ptr<ServiceHost> owned_host_;

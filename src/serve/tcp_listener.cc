@@ -1,9 +1,11 @@
 #include "serve/tcp_listener.h"
 
 #include <arpa/inet.h>
+#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -170,6 +172,43 @@ void TcpListener::Shutdown() {
     ReapFinishedHandlers();
     listen_fd_ = -1;
   });
+}
+
+StatusOr<int> ConnectTcp(const std::string& host, int port, int timeout_ms) {
+  addrinfo hints{};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* results = nullptr;
+  const int rc = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(),
+                               &hints, &results);
+  if (rc != 0) {
+    return Status::Unavailable(std::string("getaddrinfo: ") +
+                               ::gai_strerror(rc));
+  }
+  int fd = -1;
+  Status last = Status::Unavailable("no addresses for " + host);
+  timeval timeout{};
+  timeout.tv_sec = timeout_ms / 1000;
+  timeout.tv_usec = (timeout_ms % 1000) * 1000;
+  for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
+    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+    if (fd < 0) {
+      last = Status::Internal(std::string("socket: ") + std::strerror(errno));
+      continue;
+    }
+    if (timeout_ms > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    }
+    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
+    last = Status::Unavailable(std::string("connect: ") +
+                               std::strerror(errno));
+    ::close(fd);
+    fd = -1;
+  }
+  ::freeaddrinfo(results);
+  if (fd < 0) return last;
+  return fd;
 }
 
 }  // namespace serve

@@ -98,6 +98,13 @@ class TcpListener {
   std::once_flag shutdown_once_;
 };
 
+/// Opens a TCP connection to `host`:`port`, trying each IPv4 address in
+/// turn. `timeout_ms` > 0 sets the socket's send and receive timeouts
+/// before connecting, which bound connect() as well, so a black-holed
+/// peer cannot wedge the caller; 0 leaves the socket fully blocking.
+/// Returns the connected fd, which the caller owns.
+StatusOr<int> ConnectTcp(const std::string& host, int port, int timeout_ms);
+
 }  // namespace serve
 }  // namespace ultrawiki
 

@@ -176,13 +176,15 @@ TEST(RouterTopologyTest, ParsesRepicatedMultiShardTopology) {
 
 TEST(RouterTopologyTest, MalformedTopologiesAreRejected) {
   for (const char* bad : {
-           "",                     // empty
-           "0@127.0.0.1",          // no port
-           "x@127.0.0.1:5000",     // non-integer shard
-           "0@:5000",              // empty host
-           "0@127.0.0.1:64k",      // the atoi trap, on the wire format
-           "0@127.0.0.1:5000/zz",  // bad admin port
-           "@127.0.0.1:5000",      // empty shard
+           "",                        // empty
+           "0@127.0.0.1",             // no port
+           "x@127.0.0.1:5000",        // non-integer shard
+           "0@:5000",                 // empty host
+           "0@127.0.0.1:64k",         // the atoi trap, on the wire format
+           "0@127.0.0.1:5000/zz",     // bad admin port
+           "@127.0.0.1:5000",         // empty shard
+           "0@127.0.0.1:70000",       // port out of range
+           "0@127.0.0.1:5000/70000",  // admin port out of range
        }) {
     const StatusOr<RouterConfig> parsed = RouterConfig::ParseTopology(bad);
     EXPECT_FALSE(parsed.ok()) << "accepted: \"" << bad << "\"";

@@ -10,11 +10,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -56,11 +58,29 @@ std::vector<EntityId> Reference(const std::string& method,
 
 // ----------------------------------------------------------- Protocol.
 
+/// An expand request frame, encoded the way ServeClient sends one.
+std::string EncodeExpandRequest(const WireRequest& request,
+                                uint64_t request_id = 0,
+                                const FrameOptions& options = {}) {
+  SnapshotWriter body;
+  PutExpandRequest(body, request);
+  return EncodeRequestFrame(FrameKind::kExpandRequest, request_id,
+                            body.payload(), options);
+}
+
+/// Decodes an expand request payload the way TcpServer does.
+Status DecodeExpandRequest(std::string_view payload, uint64_t* request_id,
+                           WireRequest* request) {
+  SnapshotReader reader(payload);
+  reader.ReadU64(request_id);
+  ReadExpandRequest(reader, request);
+  return reader.Finish();
+}
+
 TEST(ServeProtocolTest, RequestFrameRoundTripsThroughASocketPair) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   WireRequest request;
-  request.request_id = 77;
   request.method = "retexpan";
   request.k = 13;
   request.timeout_ms = 250;
@@ -68,15 +88,16 @@ TEST(ServeProtocolTest, RequestFrameRoundTripsThroughASocketPair) {
   request.query.ultra_class = 3;
   request.query.pos_seeds = {1, 2, 5};
   request.query.neg_seeds = {9, 11};
-  const std::string encoded = EncodeRequestFrame(request);
+  const std::string encoded = EncodeExpandRequest(request, 77);
   ASSERT_TRUE(WriteAll(fds[0], encoded.data(), encoded.size()).ok());
 
   StatusOr<Frame> frame = ReadFrame(fds[1]);
   ASSERT_TRUE(frame.ok()) << frame.status();
   EXPECT_EQ(frame->kind, FrameKind::kExpandRequest);
+  uint64_t request_id = 0;
   WireRequest decoded;
-  ASSERT_TRUE(DecodeRequestPayload(frame->payload, &decoded).ok());
-  EXPECT_EQ(decoded.request_id, 77u);
+  ASSERT_TRUE(DecodeExpandRequest(frame->payload, &request_id, &decoded).ok());
+  EXPECT_EQ(request_id, 77u);
   EXPECT_EQ(decoded.method, "retexpan");
   EXPECT_EQ(decoded.k, 13u);
   EXPECT_EQ(decoded.timeout_ms, 250u);
@@ -89,28 +110,87 @@ TEST(ServeProtocolTest, RequestFrameRoundTripsThroughASocketPair) {
 }
 
 TEST(ServeProtocolTest, ResponsePayloadRoundTrips) {
-  WireResponse response;
-  response.request_id = 42;
-  response.code = static_cast<uint32_t>(StatusCode::kDeadlineExceeded);
-  response.message = "deadline expired before execution";
-  response.ranking = {7, -1, 12};
-  const std::string frame = EncodeResponseFrame(response);
+  const Status status(StatusCode::kDeadlineExceeded,
+                      "deadline expired before execution");
+  const std::vector<EntityId> ranking = {7, -1, 12};
+  SnapshotWriter body;
+  body.PutI32Vec(ranking);
+  const std::string frame = EncodeResponseFrame(
+      FrameKind::kExpandResponse, 42, status, body.payload());
   // Slice the payload out of the framed bytes (header 32 bytes, CRC 4).
   ASSERT_GT(frame.size(), kFrameHeaderBytes + 4);
   const std::string_view payload(frame.data() + kFrameHeaderBytes,
                                  frame.size() - kFrameHeaderBytes - 4);
-  WireResponse decoded;
-  ASSERT_TRUE(DecodeResponsePayload(payload, &decoded).ok());
-  EXPECT_EQ(decoded.request_id, 42u);
-  EXPECT_EQ(decoded.ToStatus().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(decoded.message, response.message);
-  EXPECT_EQ(decoded.ranking, response.ranking);
+  SnapshotReader reader(payload);
+  uint64_t request_id = 0;
+  Status decoded;
+  std::vector<EntityId> decoded_ranking;
+  ReadResponseEnvelope(reader, &request_id, &decoded);
+  reader.ReadI32Vec(&decoded_ranking);
+  ASSERT_TRUE(reader.Finish().ok());
+  EXPECT_EQ(request_id, 42u);
+  EXPECT_EQ(decoded.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(decoded.message(), status.message());
+  EXPECT_EQ(decoded_ranking, ranking);
+}
+
+TEST(ServeProtocolTest, EnvelopeAndBodyChecksFailClosed) {
+  // A status code outside StatusCode, in any response kind's envelope.
+  for (const FrameKind kind :
+       {FrameKind::kExpandResponse, FrameKind::kShardRetrieveResponse,
+        FrameKind::kShardScoreResponse, FrameKind::kQueryLookupResponse}) {
+    const std::string frame = EncodeResponseFrame(
+        kind, 1, Status(static_cast<StatusCode>(9), "from the future"), {});
+    SnapshotReader reader(std::string_view(frame).substr(
+        kFrameHeaderBytes, frame.size() - kFrameHeaderBytes - 4));
+    uint64_t request_id = 0;
+    Status carried;
+    ReadResponseEnvelope(reader, &request_id, &carried);
+    EXPECT_NE(reader.Finish().message().find("status code out of range"),
+              std::string::npos);
+  }
+  // An entity count whose byte size overflows u64 is capped before any
+  // allocation.
+  {
+    SnapshotWriter body;
+    body.PutU64(uint64_t{1} << 60);
+    body.PutBytes(std::string(16, '\0'));
+    SnapshotReader reader(body.payload());
+    std::vector<ShardScoredEntity> entities;
+    ReadShardEntities(reader, &entities);
+    EXPECT_NE(reader.Finish().message().find("entity count exceeds payload"),
+              std::string::npos);
+    EXPECT_TRUE(entities.empty());
+  }
+  // Pos/neg score vectors of different lengths.
+  {
+    SnapshotWriter body;
+    body.PutFloatVec(std::vector<float>{0.5f});
+    body.PutFloatVec(std::vector<float>{});
+    SnapshotReader reader(body.payload());
+    ShardScores scores;
+    ReadShardScores(reader, &scores);
+    EXPECT_NE(reader.Finish().message().find("pos/neg score lengths differ"),
+              std::string::npos);
+  }
+  // A by_index flag other than 0 or 1.
+  {
+    WireRequest request;
+    SnapshotWriter body;
+    PutExpandRequest(body, request);
+    std::string bytes = body.payload();
+    bytes[8 + request.method.size() + 8] = 2;  // u32 by_index, low byte
+    SnapshotReader reader(bytes);
+    ReadExpandRequest(reader, &request);
+    EXPECT_NE(reader.Finish().message().find("by_index flag out of range"),
+              std::string::npos);
+  }
 }
 
 TEST(ServeProtocolTest, CorruptionMatrixFailsClosed) {
   WireRequest request;
   request.method = "setexpan";
-  const std::string good = EncodeRequestFrame(request);
+  const std::string good = EncodeExpandRequest(request);
 
   auto read_back = [](std::string bytes) {
     int fds[2];
@@ -180,18 +260,21 @@ TEST(ServeProtocolTest, FrameVersionCompatMatrix) {
     FrameOptions options;
     options.trace_id = 0xabcdef0123456789ull;
     options.flags = kFrameFlagSample;
-    StatusOr<Frame> frame = read_back(EncodeRequestFrame(request, options));
+    StatusOr<Frame> frame =
+        read_back(EncodeExpandRequest(request, 0, options));
     ASSERT_TRUE(frame.ok()) << frame.status();
     EXPECT_EQ(frame->trace_id, 0xabcdef0123456789ull);
     EXPECT_EQ(frame->flags, kFrameFlagSample);
+    uint64_t request_id = 0;
     WireRequest decoded;
-    ASSERT_TRUE(DecodeRequestPayload(frame->payload, &decoded).ok());
+    ASSERT_TRUE(
+        DecodeExpandRequest(frame->payload, &request_id, &decoded).ok());
     EXPECT_EQ(decoded.method, "retexpan");
   }
   // Every other version fails closed on the header's version field: v1
   // (the retired trace-context-free header) and an unknown future one.
   for (const uint32_t version : {1u, 3u}) {
-    std::string bytes = EncodeRequestFrame(request);
+    std::string bytes = EncodeExpandRequest(request);
     bytes[4] = static_cast<char>(version);  // u32 LE version, low byte
     const StatusOr<Frame> frame = read_back(bytes);
     ASSERT_FALSE(frame.ok()) << "version " << version;
@@ -202,12 +285,387 @@ TEST(ServeProtocolTest, FrameVersionCompatMatrix) {
   // The CRC covers the trace context: a flipped trace-id byte is caught
   // even though the payload is untouched.
   {
-    std::string bad = EncodeRequestFrame(request);
+    std::string bad = EncodeExpandRequest(request);
     bad[kFramePrefixBytes + 3] ^= 0x20;  // inside the trace_id field
     const StatusOr<Frame> frame = read_back(bad);
     ASSERT_FALSE(frame.ok());
     EXPECT_NE(frame.status().message().find("checksum"), std::string::npos);
   }
+}
+
+// ------------------------------------------------------- Wire bytes.
+//
+// These tests speak to ServeClient and TcpServer through sockets only, so
+// they pin the bytes on the wire independently of how the codec is
+// written: every frame kind is compared against bytes captured from a
+// known-good encoder, and every payload decoder (the server's for
+// requests, the client's for responses) is swept with truncated and
+// overlong payloads.
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xf]);
+  }
+  return hex;
+}
+
+std::string Unhex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+void PutLittleEndian(uint64_t value, int bytes, std::string& out) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+  }
+}
+
+/// One whole frame (header, payload, CRC) read off `fd` unparsed; empty
+/// if the peer closed or sent less.
+std::string ReadRawFrame(int fd) {
+  std::string bytes(kFrameHeaderBytes, '\0');
+  if (!ReadExact(fd, bytes.data(), bytes.size()).ok()) return "";
+  uint64_t length = 0;
+  for (int i = 7; i >= 0; --i) {
+    length = (length << 8) | static_cast<unsigned char>(bytes[12 + i]);
+  }
+  if (length > kMaxFramePayload) return "";
+  bytes.resize(kFrameHeaderBytes + length + 4);
+  if (!ReadExact(fd, bytes.data() + kFrameHeaderBytes, length + 4).ok()) {
+    return "";
+  }
+  return bytes;
+}
+
+std::string PayloadOf(const std::string& frame) {
+  return frame.substr(kFrameHeaderBytes,
+                      frame.size() - kFrameHeaderBytes - 4);
+}
+
+/// `frame`'s header around a different payload, with the length field
+/// and the CRC rewritten so the frame itself stays valid.
+std::string Reframe(const std::string& frame, std::string_view payload) {
+  std::string out = frame.substr(0, 12);
+  PutLittleEndian(payload.size(), 8, out);
+  out.append(frame, 20, kFrameHeaderBytes - 20);
+  out.append(payload);
+  PutLittleEndian(Crc32(out), 4, out);
+  return out;
+}
+
+/// Bounds every read on `fd`, so a wrongly framed reply fails a test
+/// instead of hanging it.
+void BoundReads(int fd) {
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  UW_CHECK_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
+      0);
+}
+
+int RawConnect(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  UW_CHECK_GE(fd, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  UW_CHECK_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  UW_CHECK_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  BoundReads(fd);
+  return fd;
+}
+
+/// A loopback listening socket on an ephemeral port.
+int RawListen(int* port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  UW_CHECK_GE(fd, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  UW_CHECK_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  UW_CHECK_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+  UW_CHECK_EQ(::listen(fd, 16), 0);
+  socklen_t len = sizeof(addr);
+  UW_CHECK_EQ(
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+Query FixedQuery() {
+  Query query;
+  query.ultra_class = 3;
+  query.pos_seeds = {1, 2, 5};
+  query.neg_seeds = {9};
+  return query;
+}
+
+const std::vector<EntityId> kFixedRanking = {7, -1, 12};
+
+/// A Frontend with fixed answers: the server's reply bytes depend only
+/// on the request bytes.
+class FixedFrontend : public Frontend {
+ public:
+  ExpandResult Expand(ExpandRequest request) override {
+    (void)request;
+    return ExpandResult{Status::Ok(), kFixedRanking};
+  }
+  StatusOr<Query> QueryByIndex(uint32_t index) override {
+    if (index != 4) return Status::NotFound("no query " + std::to_string(index));
+    return FixedQuery();
+  }
+  StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(
+      const Query& query, size_t size) override {
+    (void)query;
+    (void)size;
+    return std::vector<ShardScoredEntity>{{0.5f, 3, 21}, {-1.25f, 8, 34}};
+  }
+  StatusOr<ShardScores> ScatterScore(
+      const Query& query, const std::vector<EntityId>& ids) override {
+    (void)query;
+    (void)ids;
+    return ShardScores{{0.75f, 0.25f}, {-0.5f, 1.0f}};
+  }
+  void Drain() override {}
+};
+
+/// One client call and the frames it exchanges. `call` checks the
+/// decoded reply and returns OK when it is the expected one.
+struct WireExchange {
+  const char* name;
+  std::function<Status(ServeClient&)> call;
+  const char* request_hex;
+  const char* response_hex;
+};
+
+std::vector<WireExchange> WireExchanges() {
+  const auto ranking_is_fixed =
+      [](const StatusOr<std::vector<EntityId>>& ranking) {
+        if (!ranking.ok()) return ranking.status();
+        EXPECT_EQ(*ranking, kFixedRanking);
+        return Status::Ok();
+      };
+  return {
+      {"ping", [](ServeClient& client) { return client.Ping(); },
+       "3146575502000000030000000000000000000000000000000000000000000000"
+       "5e9119a4",
+       "3146575502000000040000000000000000000000000000000000000000000000"
+       "29a60195"},
+      {"expand by index",
+       [=](ServeClient& client) {
+         return ranking_is_fixed(
+             client.ExpandByIndex("retexpan", 4, 3, 250));
+       },
+       "3146575502000000010000003c00000000000000010000000000000000000000"
+       "01000000000000000800000000000000726574657870616e03000000fa000000"
+       "01000000040000000000000000000000000000000000000000000000312e5cd5",
+       "3146575502000000020000002800000000000000000000000000000000000000"
+       "0100000000000000000000000000000000000000030000000000000007000000"
+       "ffffffff0c000000d0bad113"},
+      {"expand query",
+       [=](ServeClient& client) {
+         return ranking_is_fixed(
+             client.ExpandQuery("genexpan", FixedQuery(), 5));
+       },
+       "3146575502000000010000004c00000000000000010000000000000000000000"
+       "0100000000000000080000000000000067656e657870616e0500000000000000"
+       "0000000000000000030000000300000000000000010000000200000005000000"
+       "010000000000000009000000d33a01fe",
+       "3146575502000000020000002800000000000000000000000000000000000000"
+       "0100000000000000000000000000000000000000030000000000000007000000"
+       "ffffffff0c000000d0bad113"},
+      {"shard retrieve",
+       [](ServeClient& client) {
+         const auto entities = client.ScatterRetrieve(FixedQuery(), 2);
+         if (!entities.ok()) return entities.status();
+         EXPECT_EQ(entities->size(), 2u);
+         if (entities->size() == 2) {
+           EXPECT_EQ((*entities)[1].score, -1.25f);
+           EXPECT_EQ((*entities)[1].position, 8u);
+           EXPECT_EQ((*entities)[1].id, 34);
+         }
+         return Status::Ok();
+       },
+       "3146575502000000050000003400000000000000010000000000000000000000"
+       "0100000000000000020000000000000003000000030000000000000001000000"
+       "02000000050000000100000000000000090000007feadee9",
+       "3146575502000000060000003c00000000000000000000000000000000000000"
+       "010000000000000000000000000000000000000002000000000000000000003f"
+       "0300000000000000150000000000a0bf0800000000000000220000006492fbfc"},
+      {"shard score",
+       [](ServeClient& client) {
+         const auto scores = client.ScatterScore(FixedQuery(), {21, 34});
+         if (!scores.ok()) return scores.status();
+         EXPECT_EQ(scores->pos, (std::vector<float>{0.75f, 0.25f}));
+         EXPECT_EQ(scores->neg, (std::vector<float>{-0.5f, 1.0f}));
+         return Status::Ok();
+       },
+       "3146575502000000070000003c00000000000000010000000000000000000000"
+       "0100000000000000020000000000000015000000220000000300000003000000"
+       "00000000010000000200000005000000010000000000000009000000b8c9eed9",
+       "3146575502000000080000003400000000000000000000000000000000000000"
+       "010000000000000000000000000000000000000002000000000000000000403f"
+       "0000803e0200000000000000000000bf0000803fccc66e17"},
+      {"query lookup",
+       [](ServeClient& client) {
+         const auto query = client.QueryLookup(4);
+         if (!query.ok()) return query.status();
+         EXPECT_EQ(query->ultra_class, 3);
+         EXPECT_EQ(query->pos_seeds, FixedQuery().pos_seeds);
+         EXPECT_EQ(query->neg_seeds, FixedQuery().neg_seeds);
+         return Status::Ok();
+       },
+       "3146575502000000090000000c00000000000000010000000000000000000000"
+       "0100000000000000040000000f96b952",
+       "31465755020000000a0000003800000000000000000000000000000000000000"
+       "0100000000000000000000000000000000000000030000000300000000000000"
+       "010000000200000005000000010000000000000009000000218da150"},
+      // An error reply (the envelope carries a message) on a sampled
+      // request (the header carries the sample flag).
+      {"sampled query lookup error",
+       [](ServeClient& client) {
+         client.set_force_trace(true);
+         const Status status = client.QueryLookup(99).status();
+         if (status == Status::NotFound("no query 99")) return Status::Ok();
+         return status.ok() ? Status::Internal("lookup of 99 succeeded")
+                            : status;
+       },
+       "3146575502000000090000000c00000000000000010000000000000001000000"
+       "01000000000000006300000024c8205a",
+       "31465755020000000a0000003300000000000000000000000000000000000000"
+       "0100000000000000020000000b000000000000006e6f20717565727920393900"
+       "000000000000000000000000000000000000003120e571"},
+  };
+}
+
+/// Runs `exchange.call` on a fresh client whose connection the test
+/// accepts on `tap`: `reply(request_frame)` gives the bytes sent back.
+Status CallThroughTap(const WireExchange& exchange, int tap, int tap_port,
+                      std::string* request,
+                      const std::function<std::string(const std::string&)>&
+                          reply) {
+  auto client = ServeClient::Connect("127.0.0.1", tap_port);
+  if (!client.ok()) return client.status();
+  std::future<Status> result = std::async(
+      std::launch::async, [&] { return exchange.call(*client); });
+  const int peer = ::accept(tap, nullptr, nullptr);
+  UW_CHECK_GE(peer, 0);
+  BoundReads(peer);
+  *request = ReadRawFrame(peer);
+  const std::string response = reply(*request);
+  UW_CHECK(WriteAll(peer, response.data(), response.size()).ok());
+  ::close(peer);  // the client sees EOF after the reply, never a hang
+  return result.get();
+}
+
+TEST(ServeWireTest, GoldenBytesForEveryFrameKind) {
+  FixedFrontend frontend;
+  TcpServer server(frontend);
+  ASSERT_TRUE(server.Start(0).ok());
+  const int upstream = RawConnect(server.port());
+  int tap_port = 0;
+  const int tap = RawListen(&tap_port);
+
+  // The test relays each client frame to the server and each reply back,
+  // comparing both against the captured bytes on the way.
+  for (const WireExchange& exchange : WireExchanges()) {
+    SCOPED_TRACE(exchange.name);
+    std::string request;
+    std::string response;
+    const Status status = CallThroughTap(
+        exchange, tap, tap_port, &request, [&](const std::string& bytes) {
+          UW_CHECK(WriteAll(upstream, bytes.data(), bytes.size()).ok());
+          response = ReadRawFrame(upstream);
+          return response;
+        });
+    EXPECT_TRUE(status.ok()) << status;
+    EXPECT_EQ(Hex(request), exchange.request_hex);
+    EXPECT_EQ(Hex(response), exchange.response_hex);
+  }
+  ::close(upstream);
+  ::close(tap);
+  server.Shutdown();
+  EXPECT_EQ(server.protocol_errors(), 0);
+}
+
+TEST(ServeWireTest, EveryDecoderRejectsTruncationAndTrailingBytes) {
+  FixedFrontend frontend;
+  TcpServer server(frontend);
+  ASSERT_TRUE(server.Start(0).ok());
+  int tap_port = 0;
+  const int tap = RawListen(&tap_port);
+  const LogLevel log_level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);  // one dropped-connection warning per case
+
+  // Every strict prefix of a valid payload, and the payload plus one byte.
+  const auto damaged = [](const std::string& payload) {
+    std::vector<std::string> variants;
+    for (size_t size = 0; size < payload.size(); ++size) {
+      variants.push_back(payload.substr(0, size));
+    }
+    variants.push_back(payload + '\0');
+    return variants;
+  };
+
+  int64_t rejected_requests = 0;
+  for (const WireExchange& exchange : WireExchanges()) {
+    const std::string request = Unhex(exchange.request_hex);
+    const std::string response = Unhex(exchange.response_hex);
+    if (PayloadOf(request).empty()) continue;  // ping/pong: no payload
+
+    // The valid frames are served and decoded: the sweep below fails for
+    // the damage alone.
+    {
+      const int fd = RawConnect(server.port());
+      ASSERT_TRUE(WriteAll(fd, request.data(), request.size()).ok());
+      EXPECT_EQ(Hex(ReadRawFrame(fd)), exchange.response_hex)
+          << exchange.name;
+      ::close(fd);
+      std::string sent;
+      EXPECT_TRUE(CallThroughTap(exchange, tap, tap_port, &sent,
+                                 [&](const std::string&) { return response; })
+                      .ok())
+          << exchange.name;
+    }
+
+    // Server-side request decoding: the server drops the connection
+    // without a reply.
+    for (const std::string& payload : damaged(PayloadOf(request))) {
+      const std::string frame = Reframe(request, payload);
+      const int fd = RawConnect(server.port());
+      ASSERT_TRUE(WriteAll(fd, frame.data(), frame.size()).ok());
+      char byte;
+      EXPECT_FALSE(ReadExact(fd, &byte, 1).ok())
+          << exchange.name << " request, " << payload.size() << " of "
+          << PayloadOf(request).size() << " bytes";
+      ::close(fd);
+      ++rejected_requests;
+    }
+
+    // Client-side response decoding: the call fails.
+    for (const std::string& payload : damaged(PayloadOf(response))) {
+      std::string sent;
+      const Status status = CallThroughTap(
+          exchange, tap, tap_port, &sent,
+          [&](const std::string&) { return Reframe(response, payload); });
+      EXPECT_FALSE(status.ok())
+          << exchange.name << " response, " << payload.size() << " of "
+          << PayloadOf(response).size() << " bytes";
+    }
+  }
+  SetLogLevel(log_level);
+  ::close(tap);
+  server.Shutdown();
+  EXPECT_EQ(server.protocol_errors(), rejected_requests);
 }
 
 // ------------------------------------------------------------ Service.
@@ -550,14 +1008,7 @@ TEST(ServeTcpTest, GarbageBytesCountAsProtocolErrorAndCloseTheSession) {
   ASSERT_TRUE(server.Start(0).ok());
 
   // A raw socket feeds the server a ping frame with a flipped CRC byte.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const int fd = RawConnect(server.port());
   std::string bad = EncodeControlFrame(FrameKind::kPing);
   bad.back() = static_cast<char>(bad.back() ^ 0x1);
   ASSERT_TRUE(WriteAll(fd, bad.data(), bad.size()).ok());
@@ -585,14 +1036,7 @@ TEST(ServeTcpTest, V1FrameIsAProtocolErrorAndV2ClientsKeepWorking) {
   ASSERT_TRUE(server.Start(0).ok());
 
   // A raw socket sends a well-formed ping whose header claims version 1.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const int fd = RawConnect(server.port());
   std::string v1 = EncodeControlFrame(FrameKind::kPing);
   v1[4] = 1;  // u32 LE version field
   ASSERT_TRUE(WriteAll(fd, v1.data(), v1.size()).ok());
@@ -649,14 +1093,7 @@ TEST(ServeTcpTest, ForcedTraceLandsInSlowLogWithClientTraceId) {
 
 /// Minimal HTTP GET against the admin listener: full response text.
 std::string AdminGet(int port, const std::string& path) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  UW_CHECK_GE(fd, 0);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  UW_CHECK_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  UW_CHECK_EQ(
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const int fd = RawConnect(port);
   const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   UW_CHECK(WriteAll(fd, request.data(), request.size()).ok());
   std::string response;
