@@ -8,7 +8,6 @@
 // Prints the chosen query (seeds, attribute constraints) and the ranked
 // expansion with ground-truth annotations plus per-query metrics.
 
-#include <cstdlib>
 #include <iostream>
 #include <set>
 #include <string>
@@ -42,7 +41,7 @@ int main(int argc, char** argv) {
   const int query_index =
       ParseIntStrict(FlagValue(argc, argv, "query", "0")).value_or(-1);
   const double scale =
-      std::atof(FlagValue(argc, argv, "scale", "0.12").c_str());
+      ParseDoubleStrict(FlagValue(argc, argv, "scale", "0.12")).value_or(0.0);
   if (k <= 0 || query_index < 0 || scale <= 0.0) {
     std::cerr << "usage: " << argv[0]
               << " [--method=NAME] [--k=N] [--query=I] [--scale=S]\n";

@@ -1,5 +1,7 @@
 #include "common/env.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -32,6 +34,22 @@ std::optional<int> ParseIntStrict(std::string_view text) {
     return std::nullopt;
   }
   return static_cast<int>(value);
+}
+
+std::optional<double> ParseDoubleStrict(std::string_view text) {
+  // from_chars takes no '+' sign; accept one, but not "+-".
+  if (!text.empty() && text[0] == '+') {
+    text.remove_prefix(1);
+    if (!text.empty() && text[0] == '-') return std::nullopt;
+  }
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::optional<int> ParsePort(std::string_view text) {

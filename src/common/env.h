@@ -12,6 +12,12 @@ namespace ultrawiki {
 /// parsers silently truncate "64k" to 64 and map garbage to 0.
 std::optional<int> ParseIntStrict(std::string_view text);
 
+/// Strictly parses `text` as a finite decimal floating-point number
+/// ("0.05", "-1e3"). Trailing garbage ("0.05x"), empty strings, inf, nan,
+/// and values outside double range all return nullopt — where atof
+/// silently truncates "0.05x" to 0.05.
+std::optional<double> ParseDoubleStrict(std::string_view text);
+
 /// Strictly parses a TCP port: an integer in [0, 65535], 0 meaning an
 /// ephemeral port. Anything else returns nullopt.
 std::optional<int> ParsePort(std::string_view text);

@@ -2,12 +2,30 @@
 
 #include <cmath>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "embedding/entity_store.h"
 #include "math/softmax.h"
 #include "math/vec.h"
 
 namespace ultrawiki {
+
+uint64_t FingerprintConfig(const ContrastiveTrainConfig& config) {
+  Fnv1a hash;
+  hash.Mix("ContrastiveTrainConfig");
+  hash.Mix(config.seed);
+  hash.Mix(config.epochs);
+  hash.Mix(config.anchors_per_group);
+  hash.Mix(config.hard_negatives_per_anchor);
+  hash.Mix(config.normal_negatives_per_anchor);
+  hash.Mix(config.temperature);
+  hash.Mix(config.learning_rate);
+  hash.Mix(config.use_hard_negatives);
+  hash.Mix(config.use_normal_negatives);
+  hash.Mix(config.use_positives);
+  return hash.digest();
+}
+
 namespace {
 
 /// Cached forward pass of one contrastive sample.

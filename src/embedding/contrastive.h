@@ -1,6 +1,7 @@
 #ifndef ULTRAWIKI_EMBEDDING_CONTRASTIVE_H_
 #define ULTRAWIKI_EMBEDDING_CONTRASTIVE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "corpus/corpus.h"
@@ -46,6 +47,10 @@ struct ContrastiveTrainConfig {
   bool use_normal_negatives = true;
   bool use_positives = true;
 };
+
+/// Deterministic fingerprint of every training knob (artifact-cache key
+/// part).
+uint64_t FingerprintConfig(const ContrastiveTrainConfig& config);
 
 /// Runs ultra-fine-grained contrastive training of `encoder` over the
 /// mined `data`. The InfoNCE loss operates in the projected hypersphere

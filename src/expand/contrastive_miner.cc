@@ -2,11 +2,22 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ultrawiki {
+
+uint64_t FingerprintConfig(const MinerConfig& config) {
+  Fnv1a hash;
+  hash.Mix("MinerConfig");
+  hash.Mix(config.seed);
+  hash.Mix(config.top_t);
+  hash.Mix(config.l_size);
+  hash.Mix(config.other_class_samples);
+  return hash.digest();
+}
 
 ContrastiveData MineContrastiveData(const GeneratedWorld& world,
                                     const UltraWikiDataset& dataset,

@@ -20,6 +20,10 @@ struct MinerConfig {
   int other_class_samples = 12;
 };
 
+/// Deterministic fingerprint of every mining knob (artifact-cache key
+/// part).
+uint64_t FingerprintConfig(const MinerConfig& config);
+
 /// For every query: runs the base RetExpan recall stage, asks the LLM
 /// oracle which of the top-T entities are attribute-consistent with the
 /// positive (negative) seeds — the Table-13 prompt — and assembles the

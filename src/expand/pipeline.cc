@@ -1,8 +1,11 @@
 #include "expand/pipeline.h"
 
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/env.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "io/artifact_cache.h"
 #include "io/model_io.h"
@@ -39,35 +42,142 @@ PipelineConfig PipelineConfig::Tiny() {
   return config;
 }
 
+namespace {
+
+uint64_t Tag(std::string_view name) {
+  Fnv1a hash;
+  hash.Mix(name);
+  return hash.digest();
+}
+
+/// Artifact-cache kind of a substrate; also its key tag.
+const char* SubstrateName(Substrate substrate) {
+  switch (substrate) {
+    case Substrate::kEncoder: return "encoder";
+    case Substrate::kStore: return "store";
+    case Substrate::kWeakStore: return "weak_store";
+    case Substrate::kStaticStore: return "static_store";
+    case Substrate::kContrastStore: return "contrast_store";
+    case Substrate::kRaStore: return "ra_store";
+    case Substrate::kDistributions: return "distributions";
+  }
+  return "unknown";
+}
+
+/// Encoder and entity-prediction configs of a store retrained from
+/// scratch (weak, static, RA): pure functions of the pipeline config.
+struct Retraining {
+  EncoderConfig encoder;
+  EntityPredictionTrainConfig train;
+};
+
+Retraining RetrainingFor(const PipelineConfig& config, Substrate substrate,
+                         RaSource source) {
+  Retraining recipe{config.encoder, config.encoder_train};
+  switch (substrate) {
+    case Substrate::kWeakStore:
+      recipe.encoder.seed ^= 0x5151;
+      recipe.train = config.weak_encoder_train;
+      break;
+    case Substrate::kStaticStore:
+      recipe.encoder.seed ^= 0x9292;
+      recipe.train = config.weak_encoder_train;
+      recipe.train.epochs = 1;
+      recipe.train.learning_rate = 0.03f;
+      recipe.train.seed = config.weak_encoder_train.seed ^ 0x11;
+      break;
+    case Substrate::kRaStore:
+      recipe.encoder.seed ^= 0x77AA + static_cast<uint64_t>(source);
+      break;
+    default:
+      UW_CHECK(false) << SubstrateName(substrate) << " is not retrained";
+  }
+  return recipe;
+}
+
+/// Loads artifact `kind` under `key` from the artifact cache, or builds
+/// it and stores it. Key 0 (unknown provenance) bypasses the cache.
+template <typename Load, typename Build, typename Save>
+std::invoke_result_t<Build> LoadOrBuild(std::string_view kind, uint64_t key,
+                                        Load&& load, Build&& build,
+                                        Save&& save) {
+  ArtifactCache& cache = ArtifactCache::Global();
+  if (key != 0) {
+    std::string span = "cache.load_";
+    span += kind;
+    obs::Span load_span(span.c_str());
+    auto cached = TryLoadCached(cache, kind, key, load);
+    if (cached.has_value()) return std::move(*cached);
+  }
+  std::invoke_result_t<Build> built = build();
+  if (key != 0) {
+    StoreCached(cache, kind, key, [&](const std::string& path) {
+      return save(built, path);
+    });
+  }
+  return built;
+}
+
+}  // namespace
+
+uint64_t SubstrateKey(const PipelineConfig& config,
+                      uint64_t world_fingerprint, Substrate substrate,
+                      RaSource source) {
+  if (world_fingerprint == 0) return 0;
+  const uint64_t encoder_key = CombineFingerprints(
+      {world_fingerprint, FingerprintConfig(config.encoder),
+       FingerprintConfig(config.encoder_train)});
+  // The store's build set is the dataset's candidate vocabulary.
+  const uint64_t store_key =
+      CombineFingerprints({encoder_key, FingerprintConfig(config.store),
+                           FingerprintConfig(config.dataset)});
+  const uint64_t tag = Tag(SubstrateName(substrate));
+  switch (substrate) {
+    case Substrate::kEncoder:
+      return encoder_key;
+    case Substrate::kStore:
+      return store_key;
+    case Substrate::kWeakStore:
+    case Substrate::kStaticStore:
+    case Substrate::kRaStore: {
+      const Retraining recipe = RetrainingFor(config, substrate, source);
+      return CombineFingerprints(
+          {world_fingerprint, tag, FingerprintConfig(recipe.encoder),
+           FingerprintConfig(recipe.train), FingerprintConfig(config.store),
+           FingerprintConfig(config.dataset),
+           substrate == Substrate::kRaStore ? static_cast<uint64_t>(source)
+                                            : 0});
+    }
+    case Substrate::kContrastStore:
+      // Tunes a clone of the main encoder, refreshed with encoder_train.
+      return CombineFingerprints(
+          {store_key, tag, FingerprintConfig(config.contrast),
+           FingerprintConfig(config.miner), FingerprintConfig(config.oracle),
+           FingerprintConfig(config.encoder_train)});
+    case Substrate::kDistributions:
+      return CombineFingerprints(
+          {store_key, tag,
+           static_cast<uint64_t>(config.distribution_top_k)});
+  }
+  return 0;
+}
+
 Pipeline::Pipeline(const PipelineConfig& config, GeneratedWorld world)
     : config_(config), world_(std::move(world)) {}
 
 Pipeline Pipeline::Build(const PipelineConfig& config) {
   UW_SPAN("pipeline.build");
-  ArtifactCache& cache = ArtifactCache::Global();
-
   // World: loaded from the snapshot cache when a previous run generated it
   // from an identical GeneratorConfig, else generated and cached.
-  const uint64_t world_key = FingerprintConfig(config.generator);
-  Pipeline pipeline = [&config, &cache, world_key] {
-    {
-      UW_SPAN("cache.load_world");
-      auto cached = TryLoadCached(cache, "world", world_key,
-                                  [](const std::string& path) {
-                                    return LoadWorldSnapshot(path);
-                                  });
-      if (cached.has_value()) {
-        return Pipeline(config, std::move(*cached));
-      }
-    }
-    UW_SPAN("generate_world");
-    GeneratedWorld world = GenerateWorld(config.generator);
-    StoreCached(cache, "world", world_key,
-                [&world](const std::string& path) {
-                  return SaveWorldSnapshot(world, path);
-                });
-    return Pipeline(config, std::move(world));
-  }();
+  Pipeline pipeline(
+      config, LoadOrBuild(
+                  "world", FingerprintConfig(config.generator),
+                  LoadWorldSnapshot,
+                  [&config] {
+                    UW_SPAN("generate_world");
+                    return GenerateWorld(config.generator);
+                  },
+                  SaveWorldSnapshot));
   {
     UW_SPAN("build_dataset");
     auto built = BuildDataset(pipeline.world_, config.dataset);
@@ -78,79 +188,30 @@ Pipeline Pipeline::Build(const PipelineConfig& config) {
   pipeline.oracle_ =
       std::make_unique<LlmOracle>(&pipeline.world_, config.oracle);
 
-  // Main encoder: entity-prediction training over the full corpus, cached
-  // keyed on the world's provenance plus every training knob. A world of
-  // unknown provenance (fingerprint 0, e.g. loaded from TSV) disables
-  // derived-artifact caching — there is nothing sound to key on.
+  // Main encoder (entity-prediction training over the full corpus) and
+  // its store. A world of unknown provenance (fingerprint 0, e.g. loaded
+  // from TSV) has SubstrateKey 0 and is never cached.
+  const uint64_t world_fingerprint = pipeline.world_.fingerprint;
+  pipeline.encoder_ = std::make_unique<ContextEncoder>(LoadOrBuild(
+      "encoder", SubstrateKey(config, world_fingerprint, Substrate::kEncoder),
+      LoadEncoder,
+      [&pipeline, &config] {
+        UW_SPAN("train_encoder");
+        return pipeline.TrainEncoder(config.encoder, config.encoder_train);
+      },
+      SaveEncoder));
+  pipeline.store_key_ =
+      SubstrateKey(config, world_fingerprint, Substrate::kStore);
+  pipeline.store_ = std::make_unique<EntityStore>(LoadOrBuild(
+      "store", pipeline.store_key_, LoadEntityStoreSnapshot,
+      [&pipeline, &config] {
+        UW_SPAN("entity_store");
+        return EntityStore::Build(pipeline.world_.corpus, *pipeline.encoder_,
+                                  pipeline.dataset_.candidates, config.store);
+      },
+      SaveEntityStoreSnapshot));
+
   const Corpus& corpus = pipeline.world_.corpus;
-  const bool derivable = pipeline.world_.fingerprint != 0;
-  const uint64_t encoder_key =
-      derivable ? CombineFingerprints(
-                      {pipeline.world_.fingerprint,
-                       FingerprintConfig(config.encoder),
-                       FingerprintConfig(config.encoder_train)})
-                : 0;
-  if (derivable) {
-    UW_SPAN("cache.load_encoder");
-    auto cached = TryLoadCached(cache, "encoder", encoder_key,
-                                [](const std::string& path) {
-                                  return LoadEncoder(path);
-                                });
-    if (cached.has_value()) {
-      pipeline.encoder_ =
-          std::make_unique<ContextEncoder>(std::move(*cached));
-    }
-  }
-  if (pipeline.encoder_ == nullptr) {
-    pipeline.encoder_ = std::make_unique<ContextEncoder>(
-        corpus.tokens().size(), corpus.entity_count(), config.encoder);
-    pipeline.encoder_->SetTokenWeights(
-        ComputeSifTokenWeights(corpus.tokens()));
-    {
-      UW_SPAN("train_encoder");
-      TrainEntityPrediction(corpus, *pipeline.encoder_,
-                            config.encoder_train);
-    }
-    if (derivable) {
-      StoreCached(cache, "encoder", encoder_key,
-                  [&pipeline](const std::string& path) {
-                    return SaveEncoder(*pipeline.encoder_, path);
-                  });
-    }
-  }
-
-  // Entity store: cached keyed on the encoder key plus the store and
-  // dataset configs (the build set is the dataset's candidate vocabulary).
-  const uint64_t store_key =
-      derivable ? CombineFingerprints({encoder_key,
-                                       FingerprintConfig(config.store),
-                                       FingerprintConfig(config.dataset)})
-                : 0;
-  pipeline.store_key_ = store_key;
-  if (derivable) {
-    UW_SPAN("cache.load_store");
-    auto cached = TryLoadCached(cache, "store", store_key,
-                                [](const std::string& path) {
-                                  return LoadEntityStoreSnapshot(path);
-                                });
-    if (cached.has_value()) {
-      pipeline.store_ =
-          std::make_unique<EntityStore>(std::move(*cached));
-    }
-  }
-  if (pipeline.store_ == nullptr) {
-    UW_SPAN("entity_store");
-    pipeline.store_ = std::make_unique<EntityStore>(EntityStore::Build(
-        corpus, *pipeline.encoder_, pipeline.dataset_.candidates,
-        config.store));
-    if (derivable) {
-      StoreCached(cache, "store", store_key,
-                  [&pipeline](const std::string& path) {
-                    return SaveEntityStoreSnapshot(*pipeline.store_, path);
-                  });
-    }
-  }
-
   // Language model: "further pretraining" on the corpus.
   {
     UW_SPAN("lm_pretrain");
@@ -222,19 +283,52 @@ std::unordered_set<TokenId> Pipeline::StopTokens() const {
   return stops;
 }
 
+ContextEncoder Pipeline::TrainEncoder(
+    const EncoderConfig& encoder,
+    const EntityPredictionTrainConfig& train) const {
+  const Corpus& corpus = world_.corpus;
+  ContextEncoder trained(corpus.tokens().size(), corpus.entity_count(),
+                         encoder);
+  trained.SetTokenWeights(ComputeSifTokenWeights(corpus.tokens()));
+  TrainEntityPrediction(corpus, trained, train);
+  return trained;
+}
+
+EntityStore Pipeline::TrainStore(const EncoderConfig& encoder,
+                                 const EntityPredictionTrainConfig& train,
+                                 const EntityStoreConfig& store) const {
+  return EntityStore::Build(world_.corpus, TrainEncoder(encoder, train),
+                            dataset_.candidates, store);
+}
+
+std::unique_ptr<EntityStore> Pipeline::RetrainedStore(Substrate substrate,
+                                                      RaSource source) {
+  const Retraining recipe = RetrainingFor(config_, substrate, source);
+  return std::make_unique<EntityStore>(LoadOrBuild(
+      SubstrateName(substrate),
+      SubstrateKey(config_, world_.fingerprint, substrate, source),
+      LoadEntityStoreSnapshot,
+      [&] {
+        std::vector<std::vector<TokenId>> prefixes;
+        EntityPredictionTrainConfig train = recipe.train;
+        EntityStoreConfig store = config_.store;
+        if (substrate == Substrate::kRaStore) {
+          // The augmentation prefixes apply to every training sentence and
+          // to extraction (paper §5.1.3: "during both training and
+          // inference").
+          prefixes = BuildEntityPrefixes(world_, source);
+          train.entity_prefixes = &prefixes;
+          store.entity_prefixes = &prefixes;
+        }
+        return TrainStore(recipe.encoder, train, store);
+      },
+      SaveEntityStoreSnapshot));
+}
+
 const EntityStore& Pipeline::weak_store() {
   if (weak_store_ == nullptr) {
     UW_SPAN("pipeline.weak_store");
-    const Corpus& corpus = world_.corpus;
-    EncoderConfig weak_config = config_.encoder;
-    weak_config.seed = config_.encoder.seed ^ 0x5151;
-    weak_encoder_ = std::make_unique<ContextEncoder>(
-        corpus.tokens().size(), corpus.entity_count(), weak_config);
-    weak_encoder_->SetTokenWeights(ComputeSifTokenWeights(corpus.tokens()));
-    TrainEntityPrediction(corpus, *weak_encoder_,
-                          config_.weak_encoder_train);
-    weak_store_ = std::make_unique<EntityStore>(EntityStore::Build(
-        corpus, *weak_encoder_, dataset_.candidates, config_.store));
+    weak_store_ = RetrainedStore(Substrate::kWeakStore);
   }
   return *weak_store_;
 }
@@ -242,20 +336,7 @@ const EntityStore& Pipeline::weak_store() {
 const EntityStore& Pipeline::static_store() {
   if (static_store_ == nullptr) {
     UW_SPAN("pipeline.static_store");
-    const Corpus& corpus = world_.corpus;
-    EncoderConfig static_config = config_.encoder;
-    static_config.seed = config_.encoder.seed ^ 0x9292;
-    static_encoder_ = std::make_unique<ContextEncoder>(
-        corpus.tokens().size(), corpus.entity_count(), static_config);
-    static_encoder_->SetTokenWeights(
-        ComputeSifTokenWeights(corpus.tokens()));
-    EntityPredictionTrainConfig train = config_.weak_encoder_train;
-    train.epochs = 1;
-    train.learning_rate = 0.03f;
-    train.seed = config_.weak_encoder_train.seed ^ 0x11;
-    TrainEntityPrediction(corpus, *static_encoder_, train);
-    static_store_ = std::make_unique<EntityStore>(EntityStore::Build(
-        corpus, *static_encoder_, dataset_.candidates, config_.store));
+    static_store_ = RetrainedStore(Substrate::kStaticStore);
   }
   return *static_store_;
 }
@@ -263,7 +344,15 @@ const EntityStore& Pipeline::static_store() {
 const EntityStore& Pipeline::contrast_store() {
   if (contrast_store_ == nullptr) {
     UW_SPAN("pipeline.contrast_store");
-    contrast_store_ = BuildContrastStore(config_.contrast, config_.miner);
+    contrast_store_ = std::make_unique<EntityStore>(LoadOrBuild(
+        "contrast_store",
+        SubstrateKey(config_, world_.fingerprint, Substrate::kContrastStore),
+        LoadEntityStoreSnapshot,
+        [this] {
+          return std::move(
+              *BuildContrastStore(config_.contrast, config_.miner));
+        },
+        SaveEntityStoreSnapshot));
   }
   return *contrast_store_;
 }
@@ -298,25 +387,7 @@ const EntityStore& Pipeline::ra_store(RaSource source) {
   UW_CHECK_LT(index, 4u);
   if (ra_stores_[index] == nullptr) {
     UW_SPAN("pipeline.ra_store");
-    // Retrain a fresh encoder with the augmentation prefixes applied to
-    // every training sentence, then extract representations with the same
-    // prefixes (paper §5.1.3: "during both training and inference").
-    const auto prefixes = std::make_shared<
-        std::vector<std::vector<TokenId>>>(
-        BuildEntityPrefixes(world_, source));
-    const Corpus& corpus = world_.corpus;
-    EncoderConfig ra_config = config_.encoder;
-    ra_config.seed = config_.encoder.seed ^ (0x77AA + index);
-    ContextEncoder encoder(corpus.tokens().size(), corpus.entity_count(),
-                           ra_config);
-    encoder.SetTokenWeights(ComputeSifTokenWeights(corpus.tokens()));
-    EntityPredictionTrainConfig train = config_.encoder_train;
-    train.entity_prefixes = prefixes.get();
-    TrainEntityPrediction(corpus, encoder, train);
-    EntityStoreConfig store_config = config_.store;
-    store_config.entity_prefixes = prefixes.get();
-    ra_stores_[index] = std::make_unique<EntityStore>(EntityStore::Build(
-        corpus, encoder, dataset_.candidates, store_config));
+    ra_stores_[index] = RetrainedStore(Substrate::kRaStore, source);
   }
   return *ra_stores_[index];
 }
@@ -324,14 +395,20 @@ const EntityStore& Pipeline::ra_store(RaSource source) {
 const std::vector<SparseVec>& Pipeline::distributions() {
   if (distributions_ == nullptr) {
     UW_SPAN("pipeline.distributions");
-    EntityStoreConfig config = config_.store;
-    config.max_sentences_per_entity =
-        std::min(config.max_sentences_per_entity, 3);
-    config.distribution_temperature = 6.0f;
-    distributions_ = std::make_unique<std::vector<SparseVec>>(
-        BuildSparseDistributions(world_.corpus, *encoder_,
-                                 dataset_.candidates, config,
-                                 config_.distribution_top_k));
+    distributions_ = std::make_unique<std::vector<SparseVec>>(LoadOrBuild(
+        "distributions",
+        SubstrateKey(config_, world_.fingerprint, Substrate::kDistributions),
+        LoadSparseDistributionsSnapshot,
+        [this] {
+          EntityStoreConfig config = config_.store;
+          config.max_sentences_per_entity =
+              std::min(config.max_sentences_per_entity, 3);
+          config.distribution_temperature = 6.0f;
+          return BuildSparseDistributions(world_.corpus, *encoder_,
+                                          dataset_.candidates, config,
+                                          config_.distribution_top_k);
+        },
+        SaveSparseDistributionsSnapshot));
   }
   return *distributions_;
 }
@@ -346,26 +423,13 @@ const IvfIndex& Pipeline::ann_index() {
             ? CombineFingerprints({store_key_,
                                    FingerprintConfig(config_.ann)})
             : 0;
-    ArtifactCache& cache = ArtifactCache::Global();
-    if (ann_key != 0) {
-      UW_SPAN("cache.load_ann");
-      auto cached = TryLoadCached(
-          cache, "ann", ann_key, [this](const std::string& path) {
-            return LoadAnnIndexSnapshot(path, config_.ann);
-          });
-      if (cached.has_value()) {
-        ann_index_ = std::make_unique<IvfIndex>(std::move(*cached));
-        return *ann_index_;
-      }
-    }
-    ann_index_ = std::make_unique<IvfIndex>(
-        IvfIndex::Build(*store_, config_.ann));
-    if (ann_key != 0) {
-      StoreCached(cache, "ann", ann_key,
-                  [this](const std::string& path) {
-                    return SaveAnnIndexSnapshot(*ann_index_, path);
-                  });
-    }
+    ann_index_ = std::make_unique<IvfIndex>(LoadOrBuild(
+        "ann", ann_key,
+        [this](const std::string& path) {
+          return LoadAnnIndexSnapshot(path, config_.ann);
+        },
+        [this] { return IvfIndex::Build(*store_, config_.ann); },
+        SaveAnnIndexSnapshot));
   }
   return *ann_index_;
 }
@@ -397,60 +461,43 @@ std::unique_ptr<EntityStore> Pipeline::BuildShardStore(
   UW_CHECK(spec.valid()) << "bad shard spec " << spec.index << "/"
                          << spec.count;
   UW_SPAN("pipeline.build_shard_store");
-  ArtifactCache& cache = ArtifactCache::Global();
-  const uint64_t key = ShardStoreKey(spec);
-  if (key != 0) {
-    auto cached = TryLoadCached(cache, "shard_store", key,
-                                [](const std::string& path) {
-                                  return LoadEntityStoreSnapshot(path);
-                                });
-    if (cached.has_value()) {
-      return std::make_unique<EntityStore>(std::move(*cached));
-    }
-  }
-  // Rows for the shard's candidate slice plus every seed entity of every
-  // dataset query. Seed replication keeps SeedCentroidOf bit-exact on
-  // every shard: the centroid folds the same unit rows in the same
-  // argument order as the full store.
-  std::vector<Vec> hidden(store_->slot_count());
-  int64_t rows = 0;
-  const auto keep = [&](EntityId id) {
-    if (id < 0 || static_cast<size_t>(id) >= hidden.size()) return;
-    if (!store_->Has(id) || !hidden[static_cast<size_t>(id)].empty()) return;
-    const std::span<const float> row = store_->HiddenOf(id);
-    hidden[static_cast<size_t>(id)].assign(row.begin(), row.end());
-    ++rows;
-  };
-  for (const size_t position :
-       ShardCandidatePositions(dataset_.candidates.size(), spec)) {
-    keep(dataset_.candidates[position]);
-  }
-  for (const Query& query : dataset_.queries) {
-    for (const EntityId id : query.pos_seeds) keep(id);
-    for (const EntityId id : query.neg_seeds) keep(id);
-  }
-  obs::GetCounter("pipeline.shard_store_builds").Increment();
-  obs::GetGauge("pipeline.shard_store_rows").Set(rows);
-  auto shard_store = std::make_unique<EntityStore>(
-      EntityStore::Restore(store_->dim(), std::move(hidden)));
-  if (key != 0) {
-    StoreCached(cache, "shard_store", key,
-                [&shard_store](const std::string& path) {
-                  return SaveEntityStoreSnapshot(*shard_store, path);
-                });
-  }
-  return shard_store;
+  return std::make_unique<EntityStore>(LoadOrBuild(
+      "shard_store", ShardStoreKey(spec), LoadEntityStoreSnapshot,
+      [this, &spec] {
+        // Rows for the shard's candidate slice plus every seed entity of
+        // every dataset query. Seed replication keeps SeedCentroidOf
+        // bit-exact on every shard: the centroid folds the same unit rows
+        // in the same argument order as the full store.
+        std::vector<Vec> hidden(store_->slot_count());
+        int64_t rows = 0;
+        const auto keep = [&](EntityId id) {
+          if (id < 0 || static_cast<size_t>(id) >= hidden.size()) return;
+          if (!store_->Has(id) || !hidden[static_cast<size_t>(id)].empty()) {
+            return;
+          }
+          const std::span<const float> row = store_->HiddenOf(id);
+          hidden[static_cast<size_t>(id)].assign(row.begin(), row.end());
+          ++rows;
+        };
+        for (const size_t position :
+             ShardCandidatePositions(dataset_.candidates.size(), spec)) {
+          keep(dataset_.candidates[position]);
+        }
+        for (const Query& query : dataset_.queries) {
+          for (const EntityId id : query.pos_seeds) keep(id);
+          for (const EntityId id : query.neg_seeds) keep(id);
+        }
+        obs::GetCounter("pipeline.shard_store_builds").Increment();
+        obs::GetGauge("pipeline.shard_store_rows").Set(rows);
+        return EntityStore::Restore(store_->dim(), std::move(hidden));
+      },
+      SaveEntityStoreSnapshot));
 }
 
 std::unique_ptr<EntityStore> Pipeline::BuildEncoderStore(
     const EntityPredictionTrainConfig& train) {
-  const Corpus& corpus = world_.corpus;
-  ContextEncoder encoder(corpus.tokens().size(), corpus.entity_count(),
-                         config_.encoder);
-  encoder.SetTokenWeights(ComputeSifTokenWeights(corpus.tokens()));
-  TrainEntityPrediction(corpus, encoder, train);
-  return std::make_unique<EntityStore>(EntityStore::Build(
-      corpus, encoder, dataset_.candidates, config_.store));
+  return std::make_unique<EntityStore>(
+      TrainStore(config_.encoder, train, config_.store));
 }
 
 std::unique_ptr<HybridLm> Pipeline::BuildLmVariant(

@@ -62,6 +62,27 @@ struct PipelineConfig {
   static PipelineConfig Tiny();
 };
 
+/// The trained substrates a Pipeline keeps in the artifact cache (the
+/// world and the mined index key on their own configs).
+enum class Substrate {
+  kEncoder,
+  kStore,
+  kWeakStore,
+  kStaticStore,
+  kContrastStore,
+  kRaStore,
+  kDistributions,
+};
+
+/// Artifact-cache key of `substrate` for a pipeline built from `config`
+/// over a world of fingerprint `world_fingerprint`: content-addressed on
+/// every config that determines the artifact's bytes, under a type tag
+/// distinct per substrate. `source` only keys kRaStore. A world of
+/// unknown provenance (fingerprint 0) gives 0 — nothing is cached.
+uint64_t SubstrateKey(const PipelineConfig& config,
+                      uint64_t world_fingerprint, Substrate substrate,
+                      RaSource source = RaSource::kIntroduction);
+
 /// One shard of a deterministic candidate partition: global candidate
 /// position p belongs to shard p % count. Position-based (not id-based)
 /// so the partition is stable under any id numbering and every shard's
@@ -78,9 +99,10 @@ std::vector<size_t> ShardCandidatePositions(size_t candidate_count,
                                             const ShardSpec& spec);
 
 /// Owns the generated world, the constructed dataset, and every trained
-/// substrate, and hands out expander instances wired to them. All lazily
-/// built pieces are cached; everything is deterministic in the configured
-/// seeds.
+/// substrate, and hands out expander instances wired to them. Every
+/// trained substrate, eager or lazy, loads from the artifact cache under
+/// its SubstrateKey when present and is stored there when built;
+/// everything is deterministic in the configured seeds.
 class Pipeline {
  public:
   static Pipeline Build(const PipelineConfig& config);
@@ -106,14 +128,14 @@ class Pipeline {
   const PrefixTrie& trie() const { return *trie_; }
   const LmEntitySimilarity& similarity() const { return *similarity_; }
 
-  // --- Cached strategy substrates. ---
+  // --- Lazily built strategy substrates. ---
 
   /// Store from the contrastively tuned encoder (+Contrast), mined with
   /// the default miner/training configs.
   const EntityStore& contrast_store();
 
   /// Store from an encoder retrained with the given augmentation prefixes
-  /// (+RA). Cached per source.
+  /// (+RA). One per source.
   const EntityStore& ra_store(RaSource source);
 
   /// Sparse distribution representations (ProbExpan).
@@ -181,15 +203,24 @@ class Pipeline {
   void TrainLmOn(HybridLm& lm, double fraction) const;
   std::unordered_set<TokenId> StopTokens() const;
 
+  /// A fresh encoder (SIF token weights) trained by entity prediction.
+  ContextEncoder TrainEncoder(const EncoderConfig& encoder,
+                              const EntityPredictionTrainConfig& train) const;
+  /// The candidate store of a freshly trained encoder.
+  EntityStore TrainStore(const EncoderConfig& encoder,
+                         const EntityPredictionTrainConfig& train,
+                         const EntityStoreConfig& store) const;
+  /// Loads or trains the weak, static or RA store (`source` keys RA).
+  std::unique_ptr<EntityStore> RetrainedStore(
+      Substrate substrate, RaSource source = RaSource::kIntroduction);
+
   PipelineConfig config_;
   GeneratedWorld world_;
   UltraWikiDataset dataset_;
   std::unique_ptr<LlmOracle> oracle_;
   std::unique_ptr<ContextEncoder> encoder_;
   std::unique_ptr<EntityStore> store_;
-  std::unique_ptr<ContextEncoder> weak_encoder_;
   std::unique_ptr<EntityStore> weak_store_;
-  std::unique_ptr<ContextEncoder> static_encoder_;
   std::unique_ptr<EntityStore> static_store_;
   std::unique_ptr<HybridLm> lm_;
   std::unique_ptr<PrefixTrie> trie_;
@@ -198,8 +229,8 @@ class Pipeline {
   std::unique_ptr<EntityStore> ra_stores_[4];
   std::unique_ptr<std::vector<SparseVec>> distributions_;
   std::unique_ptr<IvfIndex> ann_index_;
-  /// Cache key of the main store (0 = unknown provenance, derived
-  /// artifacts like the ANN index are then not cached).
+  /// SubstrateKey of the main store (0 = unknown provenance, derived
+  /// artifacts are then not cached).
   uint64_t store_key_ = 0;
 };
 

@@ -17,8 +17,10 @@
 
 namespace ultrawiki {
 
-/// Content-addressed snapshot cache for the expensive pipeline artifacts
-/// (world/corpus, mined inverted index, trained encoder, entity store).
+/// Content-addressed snapshot cache for the expensive pipeline artifacts:
+/// the world, the mined inverted index, the main encoder and its entity
+/// store, the weak, static, contrast and per-source RA stores, the
+/// ProbExpan sparse distributions, the ANN index, and the shard stores.
 /// Entries are keyed by a fingerprint of everything that determines the
 /// artifact's bytes — the generator/trainer configs that produced it — and
 /// by the snapshot format version, so a format bump or any config change
@@ -107,8 +109,9 @@ void StoreCached(ArtifactCache& cache, std::string_view kind, uint64_t key,
 }
 
 /// Config fingerprints for cache keys. Each mixes a distinct type tag and
-/// every field (pointer members are mixed as a presence flag only, so
-/// callers must not cache artifacts built with external prefix tables).
+/// every field. Pointer members (the RA prefix tables) are mixed as a
+/// presence flag only, so a key over an artifact built with prefixes must
+/// name their source itself (SubstrateKey mixes the RaSource).
 uint64_t FingerprintConfig(const EncoderConfig& config);
 uint64_t FingerprintConfig(const EntityPredictionTrainConfig& config);
 uint64_t FingerprintConfig(const EntityStoreConfig& config);

@@ -810,6 +810,60 @@ StatusOr<EntityStore> LoadEntityStoreSnapshot(const std::string& path) {
   return EntityStore::Restore(static_cast<size_t>(dim), std::move(hidden));
 }
 
+// --- Sparse distributions ---
+
+Status SaveSparseDistributionsSnapshot(const std::vector<SparseVec>& rows,
+                                       const std::string& path) {
+  SnapshotWriter out;
+  out.PutU64(rows.size());
+  for (const SparseVec& row : rows) {
+    out.PutU64(row.entries.size());
+    for (const auto& [index, value] : row.entries) {
+      out.PutI32(index);
+      out.PutF32(value);
+    }
+    out.PutF32(row.norm);
+  }
+  return WriteSnapshotFile(path, SnapshotKind::kSparseDistributions, out);
+}
+
+StatusOr<std::vector<SparseVec>> LoadSparseDistributionsSnapshot(
+    const std::string& path) {
+  auto payload = ReadSnapshotFile(path, SnapshotKind::kSparseDistributions);
+  if (!payload.ok()) return payload.status();
+  SnapshotReader in(*payload);
+  uint64_t row_count;
+  // An empty row is still its u64 entry count plus its f32 norm.
+  if (!ReadCount(in, 12, "distribution row", &row_count)) {
+    return Status::Internal("corrupt distributions snapshot (row count)");
+  }
+  std::vector<SparseVec> rows(static_cast<size_t>(row_count));
+  for (SparseVec& row : rows) {
+    uint64_t entry_count;
+    if (!ReadCount(in, 8, "distribution entry", &entry_count)) {
+      return Status::Internal("corrupt distributions snapshot (entry count)");
+    }
+    row.entries.resize(static_cast<size_t>(entry_count));
+    int32_t previous = -1;
+    for (auto& [index, value] : row.entries) {
+      if (!in.ReadI32(&index) || !in.ReadF32(&value)) {
+        return Status::Internal("corrupt distributions snapshot (entry)");
+      }
+      if (index <= previous) {
+        return Status::Internal(
+            "distributions snapshot indices not strictly ascending");
+      }
+      previous = index;
+    }
+    if (!in.ReadF32(&row.norm)) {
+      return Status::Internal("corrupt distributions snapshot (norm)");
+    }
+  }
+  Status status = in.Finish();
+  if (!status.ok()) return status;
+  return rows;
+}
+
 // --- IvfIndex (ANN) ---
 
 namespace {

@@ -66,6 +66,7 @@ enum class SnapshotKind : uint32_t {
   kEntityStore = 5,
   kAnnIndex = 6,
   kShardManifest = 7,
+  kSparseDistributions = 8,
 };
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) of `data`, continuing from
@@ -187,6 +188,15 @@ StatusOr<InvertedIndex> LoadIndexSnapshot(const std::string& path);
 Status SaveEntityStoreSnapshot(const EntityStore& store,
                                const std::string& path);
 StatusOr<EntityStore> LoadEntityStoreSnapshot(const std::string& path);
+
+/// Sparse distribution rows (ProbExpan): a u64 row count, then per row a
+/// u64 entry count, the `(i32 index, f32 value)` entries, and the f32
+/// norm. Load fails closed on counts beyond the remaining payload, on
+/// negative, unsorted or duplicate indices, and on trailing bytes.
+Status SaveSparseDistributionsSnapshot(const std::vector<SparseVec>& rows,
+                                       const std::string& path);
+StatusOr<std::vector<SparseVec>> LoadSparseDistributionsSnapshot(
+    const std::string& path);
 
 /// IVF-Flat ANN index: versioned payload carrying the config fingerprint,
 /// centroid matrix, and per-list member ids. Load rejects a file whose

@@ -2,10 +2,24 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "math/topk.h"
 
 namespace ultrawiki {
+
+uint64_t FingerprintConfig(const OracleConfig& config) {
+  Fnv1a hash;
+  hash.Mix("OracleConfig");
+  hash.Mix(config.seed);
+  hash.Mix(config.base_error_rate);
+  hash.Mix(config.long_tail_error_rate);
+  hash.Mix(config.hallucination_rate);
+  hash.Mix(config.cot_class_name_error);
+  hash.Mix(config.cot_pos_attr_error);
+  hash.Mix(config.cot_neg_attr_error);
+  return hash.digest();
+}
 
 LlmOracle::LlmOracle(const GeneratedWorld* world, OracleConfig config)
     : world_(world), config_(config) {

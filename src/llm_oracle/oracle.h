@@ -1,6 +1,7 @@
 #ifndef ULTRAWIKI_LLM_ORACLE_ORACLE_H_
 #define ULTRAWIKI_LLM_ORACLE_ORACLE_H_
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -31,6 +32,9 @@ struct OracleConfig {
   double cot_pos_attr_error = 0.20;
   double cot_neg_attr_error = 0.55;
 };
+
+/// Deterministic fingerprint of every noise knob (artifact-cache key part).
+uint64_t FingerprintConfig(const OracleConfig& config);
 
 /// Sentinel returned in generative rankings for hallucinated entities;
 /// never matches any target set.

@@ -111,6 +111,24 @@ TEST(EnvIntTest, EnvIntFallsBackLoudlyOnBadValues) {
   ::unsetenv(kKnob);
 }
 
+TEST(EnvIntTest, ParseDoubleStrictRejectsSuffixesAndNonFinite) {
+  EXPECT_EQ(ParseDoubleStrict("0.05"), 0.05);
+  EXPECT_EQ(ParseDoubleStrict("+0.5"), 0.5);
+  EXPECT_EQ(ParseDoubleStrict("-2"), -2.0);
+  EXPECT_EQ(ParseDoubleStrict("1e-3"), 1e-3);
+  // atof would accept all of these; the strict parser must not.
+  EXPECT_FALSE(ParseDoubleStrict("0.05x").has_value());
+  EXPECT_FALSE(ParseDoubleStrict(" 0.05").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("0.05 ").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("+").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("+-1").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("0x1p3").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("inf").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("nan").has_value());
+  EXPECT_FALSE(ParseDoubleStrict("1e999").has_value());
+}
+
 TEST(EnvIntTest, ParsePortAcceptsOnlyTheTcpRange) {
   EXPECT_EQ(ParsePort("0"), 0);
   EXPECT_EQ(ParsePort("7979"), 7979);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,56 @@ void WriteFileBytes(const std::filesystem::path& path,
                     const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Same dim, same slots, and bit-identical hidden rows and norms.
+void ExpectStoresBitIdentical(const EntityStore& got, const EntityStore& want,
+                              const char* what) {
+  EXPECT_EQ(got.dim(), want.dim()) << what;
+  ASSERT_EQ(got.slot_count(), want.slot_count()) << what;
+  for (EntityId id = 0; id < static_cast<EntityId>(want.slot_count());
+       ++id) {
+    ASSERT_EQ(got.Has(id), want.Has(id)) << what << " slot " << id;
+    const auto want_row = want.HiddenOf(id);
+    const auto got_row = got.HiddenOf(id);
+    ASSERT_EQ(got_row.size(), want_row.size()) << what << " slot " << id;
+    EXPECT_TRUE(std::equal(got_row.begin(), got_row.end(), want_row.begin()))
+        << what << " slot " << id;
+    EXPECT_EQ(got.NormOf(id), want.NormOf(id)) << what << " slot " << id;
+  }
+}
+
+// Same rows, bit-identical sparse entries and norms.
+void ExpectDistributionsBitIdentical(const std::vector<SparseVec>& got,
+                                     const std::vector<SparseVec>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t row = 0; row < want.size(); ++row) {
+    ASSERT_EQ(got[row].entries.size(), want[row].entries.size()) << row;
+    for (size_t i = 0; i < want[row].entries.size(); ++i) {
+      EXPECT_EQ(got[row].entries[i].first, want[row].entries[i].first)
+          << row;
+      EXPECT_EQ(std::bit_cast<uint32_t>(got[row].entries[i].second),
+                std::bit_cast<uint32_t>(want[row].entries[i].second))
+          << row;
+    }
+    EXPECT_EQ(std::bit_cast<uint32_t>(got[row].norm),
+              std::bit_cast<uint32_t>(want[row].norm))
+        << row;
+  }
+}
+
+// Every test in `mutations` changes one field of `base`; each must move
+// the fingerprint.
+template <typename Config>
+void ExpectEveryFieldMovesFingerprint(
+    const Config& base,
+    const std::vector<std::function<void(Config&)>>& mutations) {
+  for (size_t i = 0; i < mutations.size(); ++i) {
+    Config changed = base;
+    mutations[i](changed);
+    EXPECT_NE(FingerprintConfig(changed), FingerprintConfig(base))
+        << "field " << i;
+  }
 }
 
 class SnapshotTest : public ::testing::Test {
@@ -422,6 +474,119 @@ TEST_F(SnapshotTest, EntityStoreRejectsImplausibleDim) {
   }
 }
 
+std::vector<SparseVec> SampleDistributions() {
+  std::vector<SparseVec> rows(4);
+  rows[0].entries = {{0, 0.25f}, {3, -1.5f}, {17, 1e-30f}};
+  rows[0].norm = 1.5207f;
+  // rows[1] stays empty: an entity outside the candidate set.
+  rows[2].entries = {{5, 0.125f}};
+  rows[2].norm = 0.125f;
+  rows[3].entries = {{1, 3.0f}, {2, 4.0f}};
+  rows[3].norm = 5.0f;
+  return rows;
+}
+
+TEST_F(SnapshotTest, SparseDistributionsRoundTrip) {
+  const std::vector<SparseVec> rows = SampleDistributions();
+  const auto path = dir_ / "distributions.uws";
+  ASSERT_TRUE(SaveSparseDistributionsSnapshot(rows, path.string()).ok());
+  auto loaded = LoadSparseDistributionsSnapshot(path.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ExpectDistributionsBitIdentical(*loaded, rows);
+
+  auto none = LoadSparseDistributionsSnapshot(
+      (dir_ / "no_distributions.uws").string());
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(SnapshotTest, SparseDistributionsRejectPrefixesAndTrailingByte) {
+  const auto good_path = dir_ / "distributions_good.uws";
+  ASSERT_TRUE(SaveSparseDistributionsSnapshot(SampleDistributions(),
+                                              good_path.string())
+                  .ok());
+  const std::string good = ReadFileBytes(good_path);
+  const auto bad_path = dir_ / "distributions_bad.uws";
+  for (size_t size = 0; size < good.size(); ++size) {
+    WriteFileBytes(bad_path, good.substr(0, size));
+    auto loaded = LoadSparseDistributionsSnapshot(bad_path.string());
+    EXPECT_FALSE(loaded.ok()) << "prefix of " << size << " bytes";
+  }
+  WriteFileBytes(bad_path, good + '\0');
+  auto trailing = LoadSparseDistributionsSnapshot(bad_path.string());
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.status().code(), StatusCode::kInternal);
+}
+
+TEST_F(SnapshotTest, SparseDistributionsRejectCorruptPayloads) {
+  // Validly framed payloads (magic, version, CRC all correct) whose
+  // contents break the codec's invariants.
+  struct Case {
+    const char* name;
+    std::function<void(SnapshotWriter&)> write;
+  };
+  const auto entry = [](SnapshotWriter& out, int32_t index, float value) {
+    out.PutI32(index);
+    out.PutF32(value);
+  };
+  const Case cases[] = {
+      {"unsorted indices",
+       [&](SnapshotWriter& out) {
+         out.PutU64(1);
+         out.PutU64(2);
+         entry(out, 5, 1.0f);
+         entry(out, 3, 1.0f);
+         out.PutF32(1.0f);
+       }},
+      {"duplicate indices",
+       [&](SnapshotWriter& out) {
+         out.PutU64(1);
+         out.PutU64(2);
+         entry(out, 3, 1.0f);
+         entry(out, 3, 2.0f);
+         out.PutF32(1.0f);
+       }},
+      {"negative index",
+       [&](SnapshotWriter& out) {
+         out.PutU64(1);
+         out.PutU64(1);
+         entry(out, -1, 1.0f);
+         out.PutF32(1.0f);
+       }},
+      {"oversized row count",
+       [&](SnapshotWriter& out) {
+         out.PutU64(uint64_t{1} << 60);
+         out.PutU64(0);
+         out.PutF32(0.0f);
+       }},
+      {"oversized entry count",
+       [&](SnapshotWriter& out) {
+         out.PutU64(1);
+         out.PutU64(uint64_t{1} << 61);
+         entry(out, 0, 1.0f);
+         out.PutF32(1.0f);
+       }},
+      {"trailing payload bytes",
+       [&](SnapshotWriter& out) {
+         out.PutU64(1);
+         out.PutU64(0);
+         out.PutF32(0.0f);
+         out.PutU32(7);
+       }},
+  };
+  const auto path = dir_ / "bogus_distributions.uws";
+  for (const Case& c : cases) {
+    SnapshotWriter writer;
+    c.write(writer);
+    ASSERT_TRUE(WriteSnapshotFile(path.string(),
+                                  SnapshotKind::kSparseDistributions, writer)
+                    .ok());
+    auto loaded = LoadSparseDistributionsSnapshot(path.string());
+    EXPECT_FALSE(loaded.ok()) << c.name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInternal) << c.name;
+  }
+}
+
 TEST_F(SnapshotTest, IndexRejectsUnsortedTerms) {
   // Terms must be strictly ascending; a descending pair is rejected.
   SnapshotWriter writer;
@@ -527,10 +692,128 @@ TEST_F(SnapshotTest, ConfigFingerprintsAreSensitive) {
   EXPECT_NE(FingerprintConfig(ds_a), FingerprintConfig(ds_b));
 
   EXPECT_NE(CombineFingerprints({1, 2}), CombineFingerprints({2, 1}));
+
+  ExpectEveryFieldMovesFingerprint<ContrastiveTrainConfig>(
+      {}, {
+              [](auto& c) { c.seed += 1; },
+              [](auto& c) { c.epochs += 1; },
+              [](auto& c) { c.anchors_per_group += 1; },
+              [](auto& c) { c.hard_negatives_per_anchor += 1; },
+              [](auto& c) { c.normal_negatives_per_anchor += 1; },
+              [](auto& c) { c.temperature *= 2.0f; },
+              [](auto& c) { c.learning_rate *= 2.0f; },
+              [](auto& c) { c.use_hard_negatives = !c.use_hard_negatives; },
+              [](auto& c) {
+                c.use_normal_negatives = !c.use_normal_negatives;
+              },
+              [](auto& c) { c.use_positives = !c.use_positives; },
+          });
+  ExpectEveryFieldMovesFingerprint<MinerConfig>(
+      {}, {
+              [](auto& c) { c.seed += 1; },
+              [](auto& c) { c.top_t += 1; },
+              [](auto& c) { c.l_size += 1; },
+              [](auto& c) { c.other_class_samples += 1; },
+          });
+  ExpectEveryFieldMovesFingerprint<OracleConfig>(
+      {}, {
+              [](auto& c) { c.seed += 1; },
+              [](auto& c) { c.base_error_rate += 0.01; },
+              [](auto& c) { c.long_tail_error_rate += 0.01; },
+              [](auto& c) { c.hallucination_rate += 0.01; },
+              [](auto& c) { c.cot_class_name_error += 0.01; },
+              [](auto& c) { c.cot_pos_attr_error += 0.01; },
+              [](auto& c) { c.cot_neg_attr_error += 0.01; },
+          });
 }
 
-// End-to-end: a warm pipeline build loads every cached artifact and
-// produces representations bit-identical to the cold build's.
+TEST_F(SnapshotTest, SubstrateKeysFollowTheirInputs) {
+  const PipelineConfig base = PipelineConfig::Tiny();
+  constexpr uint64_t kWorld = 0x1234;
+  constexpr Substrate kAll[] = {
+      Substrate::kEncoder,       Substrate::kStore,
+      Substrate::kWeakStore,     Substrate::kStaticStore,
+      Substrate::kContrastStore, Substrate::kRaStore,
+      Substrate::kDistributions,
+  };
+  const auto key = [&](const PipelineConfig& config, Substrate substrate,
+                       RaSource source = RaSource::kIntroduction) {
+    return SubstrateKey(config, kWorld, substrate, source);
+  };
+
+  // Distinct type tags: no two substrates (or RA sources) share a key.
+  std::vector<uint64_t> keys;
+  for (const Substrate substrate : kAll) keys.push_back(key(base, substrate));
+  for (const RaSource source :
+       {RaSource::kNone, RaSource::kWikidataAttributes,
+        RaSource::kGroundTruthAttributes}) {
+    keys.push_back(key(base, Substrate::kRaStore, source));
+  }
+  std::vector<uint64_t> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+
+  // A world of unknown provenance caches nothing.
+  for (const Substrate substrate : kAll) {
+    EXPECT_EQ(SubstrateKey(base, 0, substrate), 0u);
+    EXPECT_NE(key(base, substrate), 0u);
+    EXPECT_NE(SubstrateKey(base, kWorld + 1, substrate), key(base, substrate));
+  }
+
+  // One field of one input config changed: every substrate built from it
+  // must move, and the substrates that never read it must not.
+  struct Change {
+    const char* name;
+    std::function<void(PipelineConfig&)> apply;
+    std::vector<Substrate> moves;
+  };
+  const std::vector<Change> changes = {
+      {"encoder seed", [](auto& c) { c.encoder.seed += 1; },
+       {Substrate::kEncoder, Substrate::kStore, Substrate::kWeakStore,
+        Substrate::kStaticStore, Substrate::kContrastStore,
+        Substrate::kRaStore, Substrate::kDistributions}},
+      {"encoder_train", [](auto& c) { c.encoder_train.epochs += 1; },
+       {Substrate::kEncoder, Substrate::kStore, Substrate::kContrastStore,
+        Substrate::kRaStore, Substrate::kDistributions}},
+      {"weak_encoder_train seed",
+       [](auto& c) { c.weak_encoder_train.seed += 1; },
+       {Substrate::kWeakStore, Substrate::kStaticStore}},
+      {"weak_encoder_train epochs",
+       [](auto& c) { c.weak_encoder_train.epochs += 1; },
+       {Substrate::kWeakStore}},
+      {"store", [](auto& c) { c.store.max_sentences_per_entity += 1; },
+       {Substrate::kStore, Substrate::kWeakStore, Substrate::kStaticStore,
+        Substrate::kContrastStore, Substrate::kRaStore,
+        Substrate::kDistributions}},
+      {"dataset", [](auto& c) { c.dataset.seed += 1; },
+       {Substrate::kStore, Substrate::kWeakStore, Substrate::kStaticStore,
+        Substrate::kContrastStore, Substrate::kRaStore,
+        Substrate::kDistributions}},
+      {"contrast", [](auto& c) { c.contrast.temperature *= 2.0f; },
+       {Substrate::kContrastStore}},
+      {"miner", [](auto& c) { c.miner.top_t += 1; },
+       {Substrate::kContrastStore}},
+      {"oracle", [](auto& c) { c.oracle.base_error_rate += 0.01; },
+       {Substrate::kContrastStore}},
+      {"distribution_top_k", [](auto& c) { c.distribution_top_k += 1; },
+       {Substrate::kDistributions}},
+  };
+  for (const Change& change : changes) {
+    PipelineConfig changed = base;
+    change.apply(changed);
+    for (const Substrate substrate : kAll) {
+      const bool moves = std::find(change.moves.begin(), change.moves.end(),
+                                   substrate) != change.moves.end();
+      EXPECT_EQ(key(changed, substrate) != key(base, substrate), moves)
+          << change.name << " / substrate "
+          << static_cast<int>(substrate);
+    }
+  }
+}
+
+// End-to-end: a warm pipeline loads every cached artifact, the lazily
+// built ones included, retrains nothing, and produces representations
+// bit-identical to the cold pipeline's.
 TEST_F(SnapshotTest, PipelineWarmBuildMatchesCold) {
   PipelineConfig config = PipelineConfig::Tiny();
   config.generator = TinyConfig();
@@ -541,28 +824,41 @@ TEST_F(SnapshotTest, PipelineWarmBuildMatchesCold) {
   ArtifactCache::OverrideGlobalForTest(cache_dir.string());
   obs::ResetMetricsForTest();
 
-  Pipeline cold = Pipeline::Build(config);
+  // Builds the pipeline and every lazily built substrate Table 2 reads.
+  const auto build_all = [&config] {
+    Pipeline pipeline = Pipeline::Build(config);
+    pipeline.weak_store();
+    pipeline.static_store();
+    pipeline.contrast_store();
+    pipeline.ra_store(RaSource::kIntroduction);
+    pipeline.distributions();
+    return pipeline;
+  };
+
+  Pipeline cold = build_all();
   EXPECT_EQ(obs::GetCounter("cache.hit").Value(), 0);
-  EXPECT_GT(obs::GetCounter("cache.store").Value(), 0);
+  // World, mined index, encoder, store, and the five lazy substrates.
+  EXPECT_EQ(obs::GetCounter("cache.store").Value(), 9);
+  EXPECT_GT(obs::GetCounter("trainer.steps").Value(), 0);
 
   obs::ResetMetricsForTest();
-  Pipeline warm = Pipeline::Build(config);
-  // World, mined index, encoder, and store all load from the cache.
-  EXPECT_GE(obs::GetCounter("cache.hit").Value(), 4);
+  Pipeline warm = build_all();
+  EXPECT_EQ(obs::GetCounter("cache.hit").Value(), 9);
   EXPECT_EQ(obs::GetCounter("cache.miss").Value(), 0);
+  EXPECT_EQ(obs::GetCounter("cache.store").Value(), 0);
+  EXPECT_EQ(obs::GetCounter("trainer.steps").Value(), 0);
 
   EXPECT_EQ(warm.world().fingerprint, cold.world().fingerprint);
   EXPECT_EQ(warm.candidates(), cold.candidates());
-  ASSERT_EQ(warm.store().slot_count(), cold.store().slot_count());
-  for (EntityId id = 0;
-       id < static_cast<EntityId>(warm.store().slot_count()); ++id) {
-    ASSERT_EQ(warm.store().Has(id), cold.store().Has(id));
-    const auto want = cold.store().HiddenOf(id);
-    const auto got = warm.store().HiddenOf(id);
-    ASSERT_EQ(got.size(), want.size());
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
-    EXPECT_EQ(warm.store().NormOf(id), cold.store().NormOf(id));
-  }
+  ExpectStoresBitIdentical(warm.store(), cold.store(), "store");
+  ExpectStoresBitIdentical(warm.weak_store(), cold.weak_store(), "weak");
+  ExpectStoresBitIdentical(warm.static_store(), cold.static_store(),
+                           "static");
+  ExpectStoresBitIdentical(warm.contrast_store(), cold.contrast_store(),
+                           "contrast");
+  ExpectStoresBitIdentical(warm.ra_store(RaSource::kIntroduction),
+                           cold.ra_store(RaSource::kIntroduction), "ra");
+  ExpectDistributionsBitIdentical(warm.distributions(), cold.distributions());
   ArtifactCache::OverrideGlobalForTest("");
 }
 
